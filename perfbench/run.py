@@ -37,9 +37,9 @@ RESULTS = ROOT / ".perfbench"
 
 DEFAULT_SEED = 1
 VALIDATION_SEED = 2  # reserved: never used while writing a change, only to confirm its claim
-DEFAULT_SECONDS = 15
+DEFAULT_SECONDS = 20
 WORKLOADS = ("tower", "pell", "fallback", "large_p")
-SETUP_REPEATS = 7
+SETUP_EVERY_S = 2.0  # one set-up sample per this many seconds of timed calls
 
 # (name, unit, better, bound); bound is the share of the parent's median
 # by which the metric may worsen before a change counts as a regression.
@@ -106,14 +106,11 @@ print(repr(time.perf_counter() - t0))
 """
 
 
-def measure_setup() -> tuple[float, list[float]]:
-    """Median time to import cyclosvp and its CLI in a fresh interpreter."""
-    times = []
-    for _ in range(SETUP_REPEATS):
-        proc = subprocess.run([sys.executable, "-I", "-c", SETUP_CODE, str(SRC)],
-                              capture_output=True, text=True, timeout=120, check=True)
-        times.append(float(proc.stdout))
-    return statistics.median(times), times
+def setup_once() -> float:
+    """Time to import cyclosvp and its CLI in a fresh interpreter."""
+    proc = subprocess.run([sys.executable, "-I", "-c", SETUP_CODE, str(SRC)],
+                          capture_output=True, text=True, timeout=120, check=True)
+    return float(proc.stdout)
 
 
 class Tally:
@@ -161,19 +158,29 @@ def calibration_ms() -> float:
     return 1000 * (perf_counter() - start)
 
 
-def run_rounds(wl, seconds: float, tally: Tally, mix, calibration: list) -> array:
-    """Closed loop, one caller: whole rounds until the timed calls add up
-    to ``seconds``.  Returns the per-operation latencies."""
+def run_rounds(wl, seconds: float, tally: Tally, mix, calibration: list,
+               setup: list) -> array:
+    """Closed loop, one caller: whole rounds, ending at the round boundary
+    nearest to ``seconds`` of timed calls, so that a workload whose round
+    is long runs the same number of rounds on a slightly faster or slower
+    machine.  Between operations, untimed, it samples the calibration loop
+    and the set-up time, so that both see the whole run and not only its
+    first seconds: on a shared host the speed changes every few seconds.
+    Returns the per-operation latencies."""
     latencies = array("d")
-    busy = 0.0
-    while busy < seconds:
-        if busy >= len(calibration):  # about once per second of calls
-            calibration.append(calibration_ms())
+    busy = last_round = 0.0
+    while busy == 0.0 or busy + last_round / 2 < seconds:
+        start = busy
         for op in wl.next_round():
+            if busy >= len(calibration):  # about once per second of calls
+                calibration.append(calibration_ms())
+            if busy >= SETUP_EVERY_S * len(setup):
+                setup.append(setup_once())
             latency = run_op(wl, op, tally)
             latencies.append(latency)
             busy += latency
             mix.add(op)
+        last_round = busy - start
     return latencies
 
 
@@ -182,9 +189,10 @@ def tail(latencies, percentile: float) -> tuple[float, int]:
 
     Each workload fixes its percentile: the highest of 75, 80, 90, 95, 99
     that leaves at least 10 samples beyond it in a default-length run and
-    does not fall on a gap between groups of operations of different
-    cost.  A percentile chosen from each run's own sample count would
-    rise as the program gets faster and so penalise a speed-up."""
+    falls neither on a gap between groups of operations of different cost
+    nor where the host's stalls decide it.  A percentile chosen from each
+    run's own sample count would rise as the program gets faster and so
+    penalise a speed-up."""
     ordered = sorted(latencies)
     k = max(0, math.ceil(percentile / 100 * len(ordered)) - 1)
     return ordered[k], len(ordered) - 1 - k
@@ -193,7 +201,8 @@ def tail(latencies, percentile: float) -> tuple[float, int]:
 def end_to_end(wl, seconds: float, tally: Tally, mix) -> tuple[dict, dict]:
     failed_before = tally.failed
     calibration: list[float] = []
-    latencies = run_rounds(wl, seconds, tally, mix, calibration)
+    setup: list[float] = []
+    latencies = run_rounds(wl, seconds, tally, mix, calibration, setup)
     busy = sum(latencies)
     tail_s, beyond = tail(latencies, wl.TAIL_PERCENTILE)
     values = {
@@ -201,9 +210,11 @@ def end_to_end(wl, seconds: float, tally: Tally, mix) -> tuple[dict, dict]:
         "latency_p50_ms": 1000 * statistics.median(latencies),
         "latency_tail_ms": 1000 * tail_s,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+        "setup_s": statistics.median(setup),
     }
     details = {"operations": len(latencies), "busy_s": busy,
                "calibration_loop_ms": statistics.median(calibration),
+               "setup_samples_s": setup,
                "latency_tail_percentile": wl.TAIL_PERCENTILE,
                "latency_samples": len(latencies), "latency_samples_beyond_tail": beyond}
     return values, details
@@ -303,7 +314,6 @@ def run_one(name: str, seed: int, seconds: float, trace: bool) -> int:
         fail(f"imported cyclosvp from {cyclosvp.__file__}, not from {SRC}")
     import workloads
 
-    setup = None if trace else measure_setup()
     wl = workloads.WORKLOADS[name](seed)
     tally = Tally()
     for op in wl.warmup():  # checked like every operation, but not timed
@@ -316,8 +326,6 @@ def run_one(name: str, seed: int, seconds: float, trace: bool) -> int:
         spec = PER_LAYER
     else:
         values, details = end_to_end(wl, seconds, tally, mix)
-        values["setup_s"] = setup[0]
-        details["setup_samples_s"] = setup[1]
         spec = END_TO_END
     details["error_rate"] = tally.failed / tally.attempted
     metrics = {m[0]: {"value": values[m[0]], "unit": m[1]} for m in spec}

@@ -133,38 +133,40 @@ class Tower:
 
 class LargeP:
     name = "large_p"
-    # p80 would fall on the lightest of the seven heaviest operations per
-    # round (the 7, 9 mod 16 queries of the largest tier and those of the
-    # middle tier at n = 4), next to the gap below them.
     TAIL_PERCENTILE = 75
-    why = ("the tower's layers in the bignum regime: covered primes of about 60, 125 and 190 "
-           "digits at n = 2..4, where a change can trade small p against large p")
-    # Digit counts of the three size tiers, drawn uniformly from each range.
-    # With fixed sizes the round's costs form clusters, and the median
-    # latency jumps between two of them from seed to seed.
-    DIGITS = ((54, 66), (113, 137), (171, 209))
-    # Residues mod 16 of each covered class.
+    why = ("the tower's layers in the bignum regime: covered primes of 54 to 200 digits "
+           "at n = 2..4, where a change can trade small p against large p")
+    # Digit counts of each round's primes, the same ladder for every class.
+    # With every round holding the same sizes, residues and levels, the
+    # seed chooses only the primes and their order, and the round's costs
+    # spread evenly instead of clustering: random sizes moved the median
+    # latency by a fifth from seed to seed while the throughput stayed put.
+    DIGITS = (54, 83, 112, 142, 171, 200)
+    # Residues mod 16 of each covered class, alternated along the ladder.
     RESIDUES = {"5mod8": (5, 13), "3mod8": (3, 11), "9mod16": (9,), "7mod16": (7,)}
 
     def __init__(self, seed: int):
         self.rng = random.Random(seed)
 
-    def _ops_for(self, digits: tuple[int, int], rng: random.Random) -> list:
+    def _ops_for(self, digits, rng: random.Random) -> list:
         ops = []
         for label, residues in self.RESIDUES.items():
-            p = oracle.random_prime(rng, rng.randint(*digits), rng.choice(residues))
-            ops.extend((p, n) for n in range(max(2, COVERED_LEVELS[label]), 5))
+            for i, d in enumerate(digits):
+                p = oracle.random_prime(rng, d, residues[i % len(residues)])
+                ops.extend((p, n) for n in range(max(2, COVERED_LEVELS[label]), 5))
         return ops
 
     def next_round(self) -> list:
-        """One prime per covered class and size tier, at each of its
-        levels in 2..4: 33 operations."""
-        ops = [op for digits in self.DIGITS for op in self._ops_for(digits, self.rng)]
+        """One prime of each size on the ladder per covered class, at each
+        of its levels in 2..4: 66 operations, 23-28 s.  A round lasts
+        longer than a default run, so every run is exactly one round on a
+        faster or slower machine alike (see run.run_rounds)."""
+        ops = self._ops_for(self.DIGITS, self.rng)
         self.rng.shuffle(ops)
         return ops
 
     def warmup(self) -> list:
-        return self._ops_for(self.DIGITS[0], random.Random(0))
+        return self._ops_for(self.DIGITS[:1], random.Random(0))
 
     call = staticmethod(lambda op: _cli_lambda1(*op))
 
@@ -174,7 +176,12 @@ class LargeP:
 
 class Pell:
     name = "pell"
-    TAIL_PERCENTILE = 99
+    # Not p99: in a run where a shared host stalls the process for a few
+    # milliseconds at a time, the stalls hit more than 1% of these
+    # sub-millisecond calls, and p99 read 3.4-5.0 ms instead of 1.3 ms in
+    # three of ten runs.  p95 lies in the same class (p = 1 mod 8, whose
+    # square roots take Tonelli-Shanks) and is not moved by them.
+    TAIL_PERCENTILE = 95
     why = ("primes p = +-1 (mod 8) below 10^6 through solve_pell(p, +-1): the "
            "validation path and number theory, with no LLL or enumeration")
     PMAX = 10 ** 6
@@ -212,15 +219,18 @@ class Fallback:
     TAIL_PERCENTILE = 80
     why = ("p = 1, 15 (mod 16) below 1000 by certified enumeration at n = 3, 4, "
            "including the inputs whose first radius is exhausted; enumeration dominates")
-    # Per round: all four rank-16 inputs whose minimum exceeds twice the
+    # Per round: the four rank-16 inputs whose minimum exceeds twice the
     # AM-GM floor (the radius the enumeration starts from, so it must
-    # retry), 32 of the 34 other rank-16 inputs and 16 rank-8 inputs.
-    # Every round thus has the same composition whatever the seed, and a
-    # run of one or two rounds never over- or under-samples the
-    # exhausted inputs, which take 90% of the time.  With as many rank-8
-    # as rank-16 inputs the median latency would sit on the gap between
-    # the two groups and jump from run to run.
-    PER_ROUND = {"rank16_exhausted": 4, "rank16": 32, "rank8": 16}
+    # retry), the 34 other rank-16 inputs twice and the 38 rank-8 inputs
+    # three times.  Every round thus holds the whole population in the same
+    # proportions whatever the seed, which only sets the order, and a
+    # one-round run never over- or under-samples the exhausted inputs,
+    # which take 75% of the time.  The proportions place each latency
+    # statistic inside a dense group rather than on a gap or in a sparse
+    # tail, where a few milliseconds of noise move it by a quarter: the
+    # median at about the 80th percentile of the rank-8 group (10-22 ms),
+    # the p80 tail at the middle of the rank-16 group (46-130 ms).
+    PER_ROUND = {"rank16_exhausted": 4, "rank16": 68, "rank8": 114}
 
     def __init__(self, seed: int):
         rng = random.Random(seed)
