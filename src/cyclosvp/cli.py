@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
@@ -193,7 +194,7 @@ def _table_worker(job: tuple[int, int]) -> dict:
 
 def emit_table(pmax: int, classes: set[str], n: int, jobs: int = 1) -> list[dict]:
     """Rows for every covered prime <= pmax whose class is requested and
-    admits level n, ordered by p."""
+    admits level n, ordered by p.  At most os.cpu_count() workers run."""
     if pmax < 3:
         raise DomainError("--pmax must be at least 3")
     work = []
@@ -206,6 +207,7 @@ def emit_table(pmax: int, classes: set[str], n: int, jobs: int = 1) -> list[dict
         if n < _CLASS_MIN_LEVEL[label]:
             continue
         work.append((p, n))
+    jobs = min(jobs, os.cpu_count() or 1)
     if jobs > 1 and len(work) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(_table_worker, work))

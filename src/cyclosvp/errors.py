@@ -21,6 +21,6 @@ class ConsistencyError(RuntimeError):
 class RadiusExhausted(RuntimeError):
     """Enumeration found no nonzero vector inside the requested radius.
 
-    The search radius was below the lattice minimum; retry with the
-    squared radius doubled.
+    The caller's search radius was below the lattice minimum; calling
+    ``svp_enumerate`` without a radius cannot raise it.
     """

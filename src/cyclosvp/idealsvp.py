@@ -23,14 +23,13 @@ the tower that sees them and lifted: the shortest vector of an ideal is
 still shortest after extension to any higher level, with the squared
 length scaling by the degree ratio.
 
-Every certificate at rank <= 16 is confirmed by independent Fincke-Pohst
+Every certificate at rank <= 16 is confirmed by independent Schnorr-Euchner
 enumeration; a formula/enumeration mismatch raises ConsistencyError and
 is never silently resolved.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from decimal import Context, Decimal, ROUND_HALF_EVEN
 from math import isqrt
@@ -47,8 +46,8 @@ from .lattice import (
     prime_ideal_from_factor,
     prime_ideal_lattice,
     principal_ideal_lattice,
+    canonical_coeffs,
     svp_enumerate,
-    svp_with_doubling,
 )
 from .ntheory import (
     ResidueClass,
@@ -98,17 +97,21 @@ def fourth_root_decimal(n: int) -> str:
 
 
 def iroot_floor(x: int, k: int) -> int:
-    """floor(x ** (1/k)) for x >= 0, exact."""
+    """floor(x ** (1/k)) for x >= 0 and k >= 1, by integer Newton steps."""
     if x < 0:
         raise DomainError("iroot_floor needs x >= 0")
-    if x == 0:
-        return 0
-    r = max(1, int(round(x ** (1.0 / k))))
-    while r ** k > x:
-        r -= 1
-    while (r + 1) ** k <= x:
-        r += 1
-    return r
+    if k < 1:
+        raise DomainError(f"iroot_floor needs k >= 1, got {k}")
+    if x < 2 or k == 1:
+        return x
+    # 2^ceil(bits/k) lies above the root; Newton's iterates then fall
+    # monotonically and stop at the floor of the root
+    r = 1 << -(-x.bit_length() // k)
+    while True:
+        y = ((k - 1) * r + x // r ** (k - 1)) // k
+        if y >= r:
+            return r
+        r = y
 
 
 # ---------------------------------------------------------------------------
@@ -182,10 +185,12 @@ def _pair_step(u: int, v: int, up: bool) -> tuple[int, int]:
 def _window_min(g: RingElement) -> tuple[int, int, RingElement]:
     """Minimize ||Sigma(g * eps^m)||^2 over m.
 
-    Returns (min_sq, m, g * eps^m).  The search window is
-    {floor(x0)-1, ..., ceil(x0)+1} around the real minimizer x0 of
-    A t^x + B t^(-x) (t = eps^2), extended while the exact integer value
-    keeps decreasing (a guard against rounding at the window edge).
+    Returns (min_sq, m, g * eps^m), with the smallest m on a tie.  The
+    value is scale * u_m, where u_m + v_m sqrt2 = c * t^m (t = eps^2) and
+    u_m = (A t^m + B t^(-m)) / 2 with A, B the two real embeddings of c,
+    which is strictly convex in m.  The walk starts at an estimate of
+    x0 = log_t(B/A) / 2 taken from bit lengths and moves while the exact
+    integer u_m does not increase.
     """
     ring = g.ring
     base_sq = canonical_sq_length(g)
@@ -196,34 +201,30 @@ def _window_min(g: RingElement) -> tuple[int, int, RingElement]:
     scale = 2 if ring is QUAD_SQRT2 else 4
     if scale * u0 != base_sq:
         raise ConsistencyError("conjugate-pair decomposition disagrees with the Gram form")
-    sqrt2 = math.sqrt(2.0)
-    big_a = u0 + v0 * sqrt2
-    big_b = u0 - v0 * sqrt2
-    if big_a <= 0 or big_b <= 0:
+    norm = u0 * u0 - 2 * v0 * v0  # A * B
+    if u0 <= 0 or norm <= 0:
         raise ConsistencyError("generator square is not totally positive")
-    x0 = 0.5 * math.log(big_b / big_a) / math.log(3 + 2 * sqrt2)
+    # log2(max(A, B)) ~ bits(u0) and A * B = norm, so
+    # |log2(B/A)| ~ 2 bits(u0) - bits(norm); log2(t) ~ 2.543
+    gap = 2 * u0.bit_length() - norm.bit_length()
+    m = (gap * 1000 + 2543) // 5086
+    if v0 > 0:  # A > B: shrink A with negative powers
+        m = -m
 
-    def pair_at(m: int) -> tuple[int, int]:
-        u, v = u0, v0
-        for _ in range(abs(m)):
-            u, v = _pair_step(u, v, up=m > 0)
-        return u, v
-
-    lo = math.floor(x0) - 1
-    hi = math.ceil(x0) + 1
-    u, v = pair_at(lo)
-    best_m, best_u = lo, u
-    for m in range(lo + 1, hi + 1):
-        u, v = _pair_step(u, v, up=True)
-        if u < best_u:
-            best_u, best_m = u, m
-    # defensive extension beyond the window (must not trigger)
-    for direction in (1, -1):
-        m = best_m + direction
-        while pair_at(m)[0] < best_u:
-            best_u, best_m = pair_at(m)[0], m
-            m += direction
-    return scale * best_u, best_m, mul(g, unit(ring, 0, best_m))
+    u, v = u0, v0
+    for _ in range(abs(m)):
+        u, v = _pair_step(u, v, up=m > 0)
+    while True:  # down while not increasing: the smallest m on a tie
+        du, dv = _pair_step(u, v, up=False)
+        if du > u:
+            break
+        u, v, m = du, dv, m - 1
+    while True:
+        uu, uv = _pair_step(u, v, up=True)
+        if uu >= u:
+            break
+        u, v, m = uu, uv, m + 1
+    return scale * u, m, mul(g, unit(ring, 0, m))
 
 
 def canonical_torsion_rep(w: RingElement) -> RingElement:
@@ -232,17 +233,11 @@ def canonical_torsion_rep(w: RingElement) -> RingElement:
     ring = w.ring
     t = torsion_generator(ring)
 
-    def canon(c):
-        for v in c:
-            if v:
-                return tuple(c) if v > 0 else tuple(-x for x in c)
-        return tuple(c)
-
-    best = canon(w.coeffs)
+    best = canonical_coeffs(w.coeffs)
     cur = w
     for _ in range(ring.torsion_order - 1):
         cur = mul(cur, t)
-        cand = canon(cur.coeffs)
+        cand = canonical_coeffs(cur.coeffs)
         if cand < best:
             best = cand
     return element(ring, best)
@@ -788,17 +783,13 @@ def _fallback_enumerate(p: int, n: int) -> SvpCertificate:
     order = 2 * d
     if (p - 1) % order == 0:
         lat = prime_ideal_lattice(ring, p, root_of_minus_one(p, n))
-        norm = p
     elif (p * p - 1) % order == 0:
         lat = _degree2_prime_lattice(p, n)
-        norm = p * p
     else:
         raise DomainError(
             f"no prime ideal of residue degree <= 2 over {p} at level {n}"
         )
-    # start at twice the AM-GM lower bound d * N^(2/d) and double as needed
-    lower = iroot_floor(d ** d * norm * norm, d)
-    return svp_with_doubling(lat, max(2 * lower, ring.gram_scale), 4)
+    return svp_enumerate(lat)
 
 
 # ---------------------------------------------------------------------------

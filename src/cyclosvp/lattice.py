@@ -5,13 +5,16 @@ together with the exact Gram matrix under the canonical bilinear form.
 Bases are kept in Hermite normal form (lower-triangular, positive
 diagonal, entries below the diagonal reduced modulo the diagonal above
 them).  Reduction (Lagrange-Gauss, LLL at delta = 99/100) and shortest
-vector enumeration (Fincke-Pohst) run in exact integer / rational
-arithmetic throughout, so every certificate is unconditional.
+vector enumeration share one fraction-free kernel: the Gram-Schmidt data
+are the integers d_i (leading Gram minors) and lambda_ij = d_{j+1} mu_ij
+(Cohen, Alg. 2.6.7), and every pruning test compares two integers.
+Enumeration visits each level zig-zag from its centre and shrinks the
+radius to the best length found (Schnorr-Euchner), so every certificate
+is unconditional and no float touches a decision.
 """
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,7 +23,6 @@ from .errors import ConsistencyError, DomainError, RadiusExhausted
 from .rings import (
     Ring,
     RingElement,
-    canonical_inner,
     cyclotomic,
     element,
     lift_element,
@@ -119,17 +121,34 @@ def hnf_rows(rows: list[list[int]], dim: int) -> list[list[int]]:
     return [list(reversed(ech[dim - 1 - i])) for i in range(dim)]
 
 
+def _gram_matrix(ring: Ring, basis) -> tuple[tuple[int, ...], ...]:
+    """Exact Gram matrix of ring elements under the canonical form.
+
+    Equals canonical_inner on every pair, but maps each vector through
+    the ring's Gram once and fills one triangle: O(n d^2 + n^2 d), not
+    O(n^2 d^2)."""
+    g = ring.gram
+    dim = ring.degree
+    coeffs = [b.coeffs for b in basis]
+    images = [
+        [sum(g[i][j] * c[j] for j in range(dim) if c[j]) for i in range(dim)]
+        for c in coeffs
+    ]
+    n = len(coeffs)
+    out = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            out[i][j] = out[j][i] = sum(a * b for a, b in zip(coeffs[i], images[j]) if a)
+    return tuple(tuple(row) for row in out)
+
+
 def lattice_from_rows(
     ring: Ring, rows: list[list[int]], ideal_meta=None
 ) -> IntegerLattice:
     """Build an IntegerLattice from generating rows (HNF + exact Gram)."""
     hnf = hnf_rows(rows, ring.degree)
     basis = tuple(element(ring, r) for r in hnf)
-    gram = tuple(
-        tuple(canonical_inner(basis[i], basis[j]) for j in range(len(basis)))
-        for i in range(len(basis))
-    )
-    return IntegerLattice(ring, basis, gram, ideal_meta)
+    return IntegerLattice(ring, basis, _gram_matrix(ring, basis), ideal_meta)
 
 
 def prime_ideal_lattice(ring: Ring, p: int, r: int) -> IntegerLattice:
@@ -270,34 +289,31 @@ def contains(lat: IntegerLattice, v: RingElement) -> bool:
 
 
 def gram_det(gram) -> int:
-    """Determinant of an integer Gram matrix (exact, fraction-free)."""
+    """Determinant of an integer Gram matrix (exact, fraction-free Bareiss
+    elimination: every division is exact)."""
     n = len(gram)
-    m = [[Fraction(x) for x in row] for row in gram]
-    det = Fraction(1)
+    m = [list(row) for row in gram]
+    sign, prev = 1, 1
     for i in range(n):
-        piv = None
-        for r in range(i, n):
-            if m[r][i]:
-                piv = r
-                break
+        piv = next((r for r in range(i, n) if m[r][i]), None)
         if piv is None:
             return 0
         if piv != i:
             m[i], m[piv] = m[piv], m[i]
-            det = -det
-        det *= m[i][i]
-        inv = m[i][i]
+            sign = -sign
         for r in range(i + 1, n):
-            if m[r][i]:
-                f = m[r][i] / inv
-                for c in range(i, n):
-                    m[r][c] -= f * m[i][c]
-    assert det.denominator == 1
-    return int(det)
+            for c in range(i + 1, n):
+                m[r][c] = (m[r][c] * m[i][i] - m[r][i] * m[i][c]) // prev
+        prev = m[i][i]
+    return sign * prev
 
 
-def _nearest_int(q: Fraction) -> int:
-    return round(q)
+def _round_div(a: int, b: int) -> int:
+    """round(a / b) for b > 0, halves to even (as round(Fraction(a, b)))."""
+    q, r = divmod(a, b)
+    if 2 * r > b or (2 * r == b and q & 1):
+        q += 1
+    return q
 
 
 def gauss_reduce_gram(gram) -> tuple[tuple[tuple[int, int], ...], list[list[int]]]:
@@ -312,7 +328,7 @@ def gauss_reduce_gram(gram) -> tuple[tuple[tuple[int, int], ...], list[list[int]
         if a > c:
             a, c = c, a
             u[0], u[1] = u[1], u[0]
-        t = _nearest_int(Fraction(b, a))
+        t = _round_div(b, a)
         if t:
             c = c - 2 * t * b + t * t * a
             b = b - t * a
@@ -330,11 +346,9 @@ def _apply_transform(lat: IntegerLattice, u: list[list[int]]) -> IntegerLattice:
         for i in range(n)
     ]
     basis = tuple(element(lat.ring, r) for r in new_rows)
-    gram = tuple(
-        tuple(canonical_inner(basis[i], basis[j]) for j in range(n)) for i in range(n)
-    )
     return IntegerLattice(
-        lat.ring, basis, gram, lat.ideal_meta, tuple(tuple(r) for r in u)
+        lat.ring, basis, _gram_matrix(lat.ring, basis), lat.ideal_meta,
+        tuple(tuple(r) for r in u),
     )
 
 
@@ -347,66 +361,78 @@ def gauss_reduce(lat: IntegerLattice) -> IntegerLattice:
     return _apply_transform(lat, u)
 
 
-def _gso(gram):
-    """Exact Gram-Schmidt data (mu, B) from a Gram matrix."""
+def _integral_gso(gram) -> tuple[list[int], list[list[int]]]:
+    """Fraction-free Gram-Schmidt data of a positive definite Gram matrix.
+
+    Returns (d, lam): d[i] is the leading i x i minor (d[0] = 1), so
+    |b*_i|^2 = d[i+1] / d[i], and lam[i][j] = d[j+1] * mu_ij for j < i.
+    Every division is exact (Cohen, Alg. 2.6.7).
+    """
     n = len(gram)
-    mu = [[Fraction(0)] * n for _ in range(n)]
-    r = [[Fraction(0)] * n for _ in range(n)]
-    bstar = [Fraction(0)] * n
+    d = [1] * (n + 1)
+    lam = [[0] * n for _ in range(n)]
     for i in range(n):
-        for j in range(i):
-            val = Fraction(gram[i][j])
+        row = lam[i]
+        for j in range(i + 1):
+            u = gram[i][j]
+            other = lam[j]
             for k in range(j):
-                val -= mu[j][k] * r[i][k]
-            r[i][j] = val
-            mu[i][j] = val / bstar[j]
-        diag = Fraction(gram[i][i])
-        for k in range(i):
-            diag -= mu[i][k] * r[i][k]
-        if diag <= 0:
-            raise ConsistencyError("Gram matrix is not positive definite")
-        bstar[i] = diag
-    return mu, bstar
+                u = (d[k + 1] * u - row[k] * other[k]) // d[k]
+            if j < i:
+                row[j] = u
+            elif u <= 0:
+                raise ConsistencyError("Gram matrix is not positive definite")
+            else:
+                d[i + 1] = u
+    return d, lam
 
 
 def lll_reduce(lat: IntegerLattice, delta: Fraction = DEFAULT_DELTA) -> IntegerLattice:
-    """delta-LLL reduction with exact rational Gram-Schmidt arithmetic.
+    """delta-LLL reduction in integer arithmetic (integral LLL, Cohen
+    Alg. 2.6.7).
 
-    Returns a new lattice whose ``transform`` field records the unimodular
-    change of basis.  Rank-1 input is returned unchanged.
+    The decisions are those of rational LLL (size reduction rounds half
+    to even), so the result is the same basis.  Returns a new lattice
+    whose ``transform`` field records the unimodular change of basis.
+    Rank-1 input is returned unchanged.
     """
     n = lat.rank
     if n < 2:
         return lat
-    mu, bstar = _gso(lat.gram)
+    d, lam = _integral_gso(lat.gram)
+    num, den = delta.numerator, delta.denominator
     u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
     def size_reduce(k, l):
-        if abs(mu[k][l]) * 2 > 1:
-            q = _nearest_int(mu[k][l])
+        dl = d[l + 1]
+        rk = lam[k]
+        if 2 * abs(rk[l]) > dl:
+            q = _round_div(rk[l], dl)
+            uk, ul, rl = u[k], u[l], lam[l]
             for t in range(n):
-                u[k][t] -= q * u[l][t]
+                uk[t] -= q * ul[t]
             for t in range(l):
-                mu[k][t] -= q * mu[l][t]
-            mu[k][l] -= q
+                rk[t] -= q * rl[t]
+            rk[l] -= q * dl
 
     k = 1
     while k < n:
         size_reduce(k, k - 1)
-        if bstar[k] < (delta - mu[k][k - 1] ** 2) * bstar[k - 1]:
-            # swap rows k-1 and k, updating GSO data in place
-            m = mu[k][k - 1]
-            bnew = bstar[k] + m * m * bstar[k - 1]
-            mu[k][k - 1] = m * bstar[k - 1] / bnew
-            bstar[k] = bstar[k - 1] * bstar[k] / bnew
-            bstar[k - 1] = bnew
+        lk = lam[k][k - 1]
+        # Lovasz: |b*_k|^2 < (delta - mu^2) |b*_{k-1}|^2, times d_k d_{k-1}
+        if den * (d[k + 1] * d[k - 1] + lk * lk) < num * d[k] * d[k]:
+            # swap rows k-1 and k; lam[k][k-1] and every d but d[k] stay
+            bnew = (d[k - 1] * d[k + 1] + lk * lk) // d[k]
             u[k - 1], u[k] = u[k], u[k - 1]
+            rk, rk1 = lam[k], lam[k - 1]
             for t in range(k - 1):
-                mu[k - 1][t], mu[k][t] = mu[k][t], mu[k - 1][t]
+                rk1[t], rk[t] = rk[t], rk1[t]
             for i in range(k + 1, n):
-                t = mu[i][k]
-                mu[i][k] = mu[i][k - 1] - m * t
-                mu[i][k - 1] = t + mu[k][k - 1] * mu[i][k]
+                ri = lam[i]
+                t = ri[k]
+                ri[k] = (d[k + 1] * ri[k - 1] - lk * t) // d[k]
+                ri[k - 1] = (bnew * t + lk * ri[k]) // d[k + 1]
+            d[k] = bnew
             k = max(k - 1, 1)
         else:
             for l in range(k - 2, -1, -1):
@@ -415,63 +441,58 @@ def lll_reduce(lat: IntegerLattice, delta: Fraction = DEFAULT_DELTA) -> IntegerL
     return _apply_transform(lat, u)
 
 
-def _floor_plus_sqrt(center: Fraction, bound: Fraction) -> int:
-    """floor(center + sqrt(bound)) for bound >= 0, exactly.
-
-    Float arithmetic only seeds the estimate; the exact rational
-    inequality fixes it up, so the result is always correct."""
-    est = int(math.floor(float(center) + math.sqrt(float(bound))))
-
-    def ok(x: int) -> bool:
-        diff = x - center
-        return diff <= 0 or diff * diff <= bound
-
-    while ok(est + 1):
-        est += 1
-    while not ok(est):
-        est -= 1
-    return est
-
-
-def _enum_coords(gram, radius_sq: int):
+def _enum_coords(gram, radius_sq: int, shrink: bool = False):
     """Yield (sq_length, coords) for nonzero vectors with x G x^T <= radius.
 
     One representative per +/- pair: the highest-index nonzero coordinate
-    is positive.  Exact rational pruning; no floats affect completeness.
+    is positive.  Each level visits its coordinates zig-zag outward from
+    the projected centre a / d[i+1] (Schnorr-Euchner), so the first
+    coordinate outside the radius ends the level.  With ``shrink`` the
+    radius drops to each yielded length; vectors of equal length are
+    still yielded.
+
+    Integer pruning: used = d[i+1] * |pi_{i+1}(v)|^2 is an integer, and
+    x is admissible at level i iff (x d[i+1] - a)^2 <= d[i] (R d[i+1] - used).
     """
     n = len(gram)
-    mu, bstar = _gso(gram)
-    radius = Fraction(radius_sq)
+    d, lam = _integral_gso(gram)
     x = [0] * n
+    radius = radius_sq
 
-    def rec(level: int, used: Fraction, zero_above: bool):
-        c = Fraction(0)
-        for j in range(level + 1, n):
-            if x[j]:
-                c -= x[j] * mu[j][level]
-        allowance = (radius - used) / bstar[level]
-        if allowance < 0:
-            return
-        hi = _floor_plus_sqrt(c, allowance)
-        lo = -_floor_plus_sqrt(-c, allowance)
-        if zero_above and lo < 0:
-            lo = 0
-        for xi in range(lo, hi + 1):
-            diff = xi - c
-            contrib = bstar[level] * diff * diff
-            total = used + contrib
-            if total > radius:
-                continue
+    def rec(level: int, used: int, zero_above: bool):
+        nonlocal radius
+        dn, dl = d[level + 1], d[level]
+        a = 0
+        if zero_above:
+            xi, step = 0, 0
+        else:
+            for j in range(level + 1, n):
+                if x[j]:
+                    a -= x[j] * lam[j][level]
+            xi = _round_div(a, dn)
+            step = 1 if a >= xi * dn else -1
+        k = 0
+        while True:
+            e = xi * dn - a
+            e *= e
+            if e > dl * (radius * dn - used):
+                break
+            total = (dl * used + e) // dn
             x[level] = xi
-            if level == 0:
-                if any(x):
-                    assert total.denominator == 1
-                    yield int(total), tuple(x)
-            else:
+            if level:
                 yield from rec(level - 1, total, zero_above and xi == 0)
+            elif xi or not zero_above:
+                yield total, tuple(x)
+                if shrink and total < radius:
+                    radius = total
+            if zero_above:
+                xi += 1
+            else:
+                k += 1
+                xi += step * k if k & 1 else -step * k
         x[level] = 0
 
-    yield from rec(n - 1, Fraction(0), True)
+    yield from rec(n - 1, 0, True)
 
 
 def canonical_coeffs(coeffs) -> tuple[int, ...]:
@@ -491,11 +512,10 @@ def _coords_to_row(coords, rows, d):
     return out
 
 
-def _scaled_gram(lat: IntegerLattice, radius_sq: int):
+def _scaled_gram(lat: IntegerLattice):
     """Divide out the ring's common Gram factor to keep numbers small."""
     s = lat.ring.gram_scale
-    gram = tuple(tuple(v // s for v in row) for row in lat.gram)
-    return gram, radius_sq // s, s
+    return tuple(tuple(v // s for v in row) for row in lat.gram), s
 
 
 def enumerate_all(lat: IntegerLattice, radius_sq: int) -> list[tuple[RingElement, int]]:
@@ -517,24 +537,26 @@ def enumerate_all(lat: IntegerLattice, radius_sq: int) -> list[tuple[RingElement
         return out
     red = lll_reduce(lat)
     rows = red.rows()
-    gram, radius, scale = _scaled_gram(red, radius_sq)
+    gram, scale = _scaled_gram(red)
     found = []
-    for sq, coords in _enum_coords(gram, radius):
+    for sq, coords in _enum_coords(gram, radius_sq // scale):
         row = canonical_coeffs(_coords_to_row(coords, rows, d))
         found.append((sq * scale, row))
     found.sort()
     return [(element(lat.ring, row), sq) for sq, row in found]
 
 
-def svp_enumerate(lat: IntegerLattice, radius_sq: int) -> SvpCertificate:
-    """Exact shortest vector by Fincke-Pohst enumeration.
+def svp_enumerate(lat: IntegerLattice, radius_sq: int | None = None) -> SvpCertificate:
+    """Exact shortest vector by Schnorr-Euchner enumeration.
 
-    ``radius_sq`` must be at least the squared lattice minimum; when no
-    nonzero vector lies within it, RadiusExhausted is raised and the
-    caller should double the radius.  Ties are broken by returning the
+    The search radius starts at the shortest vector of the LLL-reduced
+    basis, or at ``radius_sq`` when that is smaller, and drops to the
+    best length found so far.  Without ``radius_sq`` the search cannot
+    come back empty; RadiusExhausted is raised only when ``radius_sq``
+    lies below the lattice minimum.  Ties are broken by returning the
     lexicographically smallest sign-normalized coefficient vector.
     """
-    if radius_sq <= 0:
+    if radius_sq is not None and radius_sq <= 0:
         raise DomainError("radius_sq must be positive")
     if lat.rank > max_enumeration_rank():
         raise DomainError(
@@ -543,32 +565,32 @@ def svp_enumerate(lat: IntegerLattice, radius_sq: int) -> SvpCertificate:
     d = lat.ring.degree
     if lat.rank == 1:
         g = lat.gram[0][0]
-        if g > radius_sq:
-            raise RadiusExhausted(
-                f"no vector with squared length <= {radius_sq}; double the radius"
-            )
+        if radius_sq is not None and g > radius_sq:
+            raise RadiusExhausted(f"no vector with squared length <= {radius_sq}")
         vec = element(lat.ring, canonical_coeffs(lat.basis[0].coeffs))
         return SvpCertificate(vec, g, "enumeration", False)
     red = lll_reduce(lat)
     rows = red.rows()
-    gram, radius, scale = _scaled_gram(red, radius_sq)
+    gram, scale = _scaled_gram(red)
+    radius = min(gram[i][i] for i in range(red.rank))
+    if radius_sq is not None:
+        radius = min(radius, radius_sq // scale)
     best_sq = None
     best_row = None
-    for sq, coords in _enum_coords(gram, radius):
-        if best_sq is not None and sq > best_sq:
-            continue
+    for sq, coords in _enum_coords(gram, radius, shrink=True):
         row = canonical_coeffs(_coords_to_row(coords, rows, d))
         if best_sq is None or sq < best_sq or row < best_row:
             best_sq, best_row = sq, row
     if best_sq is None:
-        raise RadiusExhausted(
-            f"no vector with squared length <= {radius_sq}; double the radius"
-        )
+        raise RadiusExhausted(f"no vector with squared length <= {radius_sq}")
     return SvpCertificate(element(lat.ring, best_row), best_sq * scale, "enumeration", False)
 
 
 def svp_with_doubling(lat: IntegerLattice, radius_sq: int, retries: int = 4) -> SvpCertificate:
-    """svp_enumerate with the doubling-on-failure loop (capped)."""
+    """svp_enumerate with the doubling-on-failure loop (capped).
+
+    The library no longer needs it: ``svp_enumerate(lat)`` cannot
+    exhaust its radius."""
     for _ in range(retries + 1):
         try:
             return svp_enumerate(lat, radius_sq)

@@ -132,6 +132,38 @@ def test_table_jobs_deterministic():
     assert serial == parallel
 
 
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def test_table_jobs_clamped_to_cpu_count(monkeypatch):
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    args = ("table", "--pmax", "100", "--classes", "9mod16", "--n", "2")
+    _, serial = run_cli(*args)
+    _, clamped = run_cli(*args, "--jobs", "100000")
+    assert _RecordingPool.sizes == [3] and clamped == serial
+    # one core (or an unknown count): no pool at all
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    _, single = run_cli(*args, "--jobs", "8")
+    assert _RecordingPool.sizes == [3] and single == serial
+
+
 def test_table_unknown_class():
     code, data = run_json("table", "--pmax", "100", "--classes", "2mod7")
     assert code == 2 and "error" in data

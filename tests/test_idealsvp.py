@@ -20,7 +20,7 @@ from cyclosvp.idealsvp import (
     zeta16_lift_check,
 )
 from cyclosvp.lattice import prime_ideal_lattice, svp_enumerate
-from cyclosvp.ntheory import sieve_primes, sqrt_mod
+from cyclosvp.ntheory import is_prime, sieve_primes, sqrt_mod
 from cyclosvp.pell import solve_pell
 from cyclosvp.rings import (
     CYCLO_EIGHTH,
@@ -390,6 +390,37 @@ def test_decimal_helpers():
     assert iroot_floor(81, 4) == 3
     assert iroot_floor(80, 4) == 2
     assert iroot_floor(0, 3) == 0
+
+
+def test_iroot_floor_exact_at_any_size():
+    assert iroot_floor(10**400, 4) == 10**100
+    assert iroot_floor(10**400 - 1, 4) == 10**100 - 1
+    for r, k in ((3, 4), (12345, 2), (7, 13), (10**50 + 7, 3), (2**521 - 1, 5)):
+        x = r**k
+        assert iroot_floor(x - 1, k) == r - 1
+        assert iroot_floor(x, k) == r
+        assert iroot_floor(x + 1, k) == r
+    assert iroot_floor(1, 7) == 1 and iroot_floor(10**400, 1) == 10**400
+    with pytest.raises(DomainError):
+        iroot_floor(-1, 2)
+    with pytest.raises(DomainError):
+        iroot_floor(5, 0)
+
+
+# primes p = 7 (mod 16) just above 10^320 and 10^400: 2 is a square mod p
+# and the theta quartic splits, so both generator rings apply
+LARGE_7MOD16 = (10**320 + 1303, 10**400 + 7191)
+
+
+@pytest.mark.parametrize("p", LARGE_7MOD16, ids=("1e320", "1e400"))
+def test_shortest_generator_exact_at_hundreds_of_digits(p):
+    assert p % 16 == 7 and is_prime(p)
+    cert = shortest_generator(p, QUAD_SQRT2, sqrt_mod(2, p))
+    assert abs(field_norm(cert.vector)) == p
+    assert cert.sq_length == canonical_sq_length(cert.vector) == lambda1_sq_zsqrt2(p)
+    cert = shortest_generator(p, QUARTIC_THETA, theta_roots(p)[0])
+    assert abs(field_norm(cert.vector)) == p
+    assert cert.sq_length == canonical_sq_length(cert.vector) == 4 * solve_pell(p).a
 
 
 def test_result_json_shape():

@@ -1,8 +1,12 @@
 import itertools
+import json
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from cyclosvp import idealsvp, lattice
 from cyclosvp.errors import DomainError, RadiusExhausted
 from cyclosvp.lattice import (
     IntegerLattice,
@@ -300,6 +304,153 @@ def test_enumeration_rank_cap(monkeypatch):
     assert svp_enumerate(lat, 72).sq_length == 72
 
 
+# --- the integer kernel against rational references -----------------------
+
+
+def _reference_lll_transform(gram, delta=Fraction(99, 100)):
+    """Textbook LLL on exact rational Gram-Schmidt data; returns U."""
+    n = len(gram)
+    mu = [[Fraction(0)] * n for _ in range(n)]
+    bstar = [Fraction(0)] * n
+    for i in range(n):
+        for j in range(i + 1):
+            val = Fraction(gram[i][j]) - sum(
+                (mu[j][k] * mu[i][k] * bstar[k] for k in range(j)), Fraction(0)
+            )
+            if j < i:
+                mu[i][j] = val / bstar[j]
+            else:
+                bstar[i] = val
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+
+    def size_reduce(k, l):
+        if abs(mu[k][l]) * 2 > 1:
+            q = round(mu[k][l])
+            u[k] = [a - q * b for a, b in zip(u[k], u[l])]
+            for t in range(l):
+                mu[k][t] -= q * mu[l][t]
+            mu[k][l] -= q
+
+    k = 1
+    while k < n:
+        size_reduce(k, k - 1)
+        if bstar[k] < (delta - mu[k][k - 1] ** 2) * bstar[k - 1]:
+            m = mu[k][k - 1]
+            bnew = bstar[k] + m * m * bstar[k - 1]
+            mu[k][k - 1] = m * bstar[k - 1] / bnew
+            bstar[k] = bstar[k - 1] * bstar[k] / bnew
+            bstar[k - 1] = bnew
+            u[k - 1], u[k] = u[k], u[k - 1]
+            for t in range(k - 1):
+                mu[k - 1][t], mu[k][t] = mu[k][t], mu[k - 1][t]
+            for i in range(k + 1, n):
+                t = mu[i][k]
+                mu[i][k] = mu[i][k - 1] - m * t
+                mu[i][k - 1] = t + mu[k][k - 1] * mu[i][k]
+            k = max(k - 1, 1)
+        else:
+            for l in range(k - 2, -1, -1):
+                size_reduce(k, l)
+            k += 1
+    return u
+
+
+def _random_lattice(rng, rank, digits, knapsack):
+    """A rank-``rank`` sublattice of Z[zeta32]: either a knapsack basis
+    (N, 0, ...), (r_i, e_i), which needs many swaps, or dense random rows."""
+    ring = cyclotomic(4)
+    if knapsack:
+        big = rng.randrange(10 ** (digits - 1), 10**digits)
+        rows = [[big] + [0] * 15] + [
+            [rng.randrange(big)] + [int(j == i) for j in range(1, 16)]
+            for i in range(1, rank)
+        ]
+    else:
+        rows = [[rng.randrange(-(10**digits), 10**digits) for _ in range(16)]
+                for _ in range(rank)]
+    basis = tuple(element(ring, r) for r in rows)
+    gram = tuple(tuple(canonical_inner(a, b) for b in basis) for a in basis)
+    return IntegerLattice(ring, basis, gram)
+
+
+def _lattice_cases():
+    rng = random.Random(20260101)
+    for rank in range(2, 17):
+        digits = 200 if rank <= 8 else 40
+        yield _random_lattice(rng, rank, digits, knapsack=True)
+        yield _random_lattice(rng, rank, digits, knapsack=False)
+    yield _random_lattice(rng, 12, 200, knapsack=True)
+
+
+def test_lll_matches_rational_reference():
+    for lat in _lattice_cases():
+        red = lll_reduce(lat)
+        u = _reference_lll_transform(lat.gram)
+        assert [list(r) for r in red.transform] == u
+        rows = lat.rows()
+        expected = [
+            [sum(u[i][k] * rows[k][j] for k in range(lat.rank)) for j in range(16)]
+            for i in range(lat.rank)
+        ]
+        assert red.rows() == expected
+
+
+def _svp_cases():
+    rng = random.Random(7)
+    for rank in range(2, 9):
+        yield _random_lattice(rng, rank, 2, knapsack=False)
+        yield _random_lattice(rng, rank, 3, knapsack=True)
+    yield prime_ideal_lattice(GAUSSIAN_INT, 13, 5)
+    yield prime_ideal_lattice(QUAD_SQRT2, 89, 25)
+    yield prime_ideal_lattice(CYCLO_EIGHTH, 89, 12)
+    yield lift_ideal_lattice(prime_ideal_lattice(QUAD_SQRT2, 7, 4), cyclotomic(3))
+    yield lift_ideal_lattice(prime_ideal_lattice(CYCLO_EIGHTH, 41, 14), cyclotomic(4))
+
+
+def test_svp_without_radius_is_first_of_enumerate_all():
+    for lat in _svp_cases():
+        cert = svp_enumerate(lat)
+        red = lll_reduce(lat)
+        shortest = enumerate_all(lat, min(red.gram[i][i] for i in range(red.rank)))
+        assert (cert.vector, cert.sq_length) == shortest[0]
+
+
+def test_svp_radius_never_above_the_answer():
+    lat = prime_ideal_lattice(CYCLO_EIGHTH, 89, 12)
+    for radius in (None, 44, 45, 10**6):
+        cert = svp_enumerate(lat, radius)
+        assert cert.sq_length == 44 and cert.vector.coeffs == (0, 1, 1, 3)
+
+
+def test_fallback_rank16_needs_one_enumeration(monkeypatch):
+    # p = 31, 223, 383, 769 at n = 4: lambda1^2 exceeds twice the AM-GM
+    # floor, the start radius of the former doubling search
+    ref = json.loads(
+        (Path(__file__).parents[1] / "perfbench" / "fallback_reference.json").read_text()
+    )
+    raised = []
+
+    class CountingRadiusExhausted(RadiusExhausted):
+        def __init__(self, *args):
+            raised.append(args)
+            super().__init__(*args)
+
+    calls = []
+    real_svp = idealsvp.svp_enumerate
+
+    def counting_svp(*args, **kwargs):
+        calls.append(args)
+        return real_svp(*args, **kwargs)
+
+    monkeypatch.setattr(lattice, "RadiusExhausted", CountingRadiusExhausted)
+    monkeypatch.setattr(idealsvp, "svp_enumerate", counting_svp)
+    for p in (31, 223, 383, 769):
+        res = idealsvp.lambda1_squared(p, 4, enumerate_fallback=True)
+        assert res.lambda1_sq == ref[f"{p},4"]
+    assert ref["31,4"] == 80
+    assert len(calls) == 4 and raised == []
+
+
 # --- lifting lattices -----------------------------------------------------
 
 
@@ -328,6 +479,12 @@ def test_lift_ideal_requires_larger_ring():
 
 
 # --- misc -----------------------------------------------------------------
+
+
+def test_gauss_reduce_gram_rounds_half_to_even():
+    # <b1,b2> / |b1|^2 = 3/2 and 5/2 round to 2 (round(Fraction) semantics)
+    assert gauss_reduce_gram(((2, 3), (3, 100)))[1] == [[1, 0], [-2, 1]]
+    assert gauss_reduce_gram(((2, 5), (5, 100)))[1] == [[1, 0], [-2, 1]]
 
 
 def test_gauss_reduce_gram_unimodular():
