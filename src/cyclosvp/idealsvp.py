@@ -38,6 +38,7 @@ from .errors import ConsistencyError, DomainError
 from .lattice import (
     IntegerLattice,
     SvpCertificate,
+    canonical_coeffs,
     contains,
     enumerate_all,
     lattice_from_rows,
@@ -46,7 +47,6 @@ from .lattice import (
     prime_ideal_from_factor,
     prime_ideal_lattice,
     principal_ideal_lattice,
-    canonical_coeffs,
     svp_enumerate,
 )
 from .ntheory import (

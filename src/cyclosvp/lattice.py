@@ -589,8 +589,8 @@ def svp_enumerate(lat: IntegerLattice, radius_sq: int | None = None) -> SvpCerti
 def svp_with_doubling(lat: IntegerLattice, radius_sq: int, retries: int = 4) -> SvpCertificate:
     """svp_enumerate with the doubling-on-failure loop (capped).
 
-    The library no longer needs it: ``svp_enumerate(lat)`` cannot
-    exhaust its radius."""
+    No library path calls it: ``svp_enumerate(lat)`` cannot exhaust its
+    radius."""
     for _ in range(retries + 1):
         try:
             return svp_enumerate(lat, radius_sq)

@@ -3,6 +3,7 @@ import json
 
 from cyclosvp import cli
 from cyclosvp.errors import ConsistencyError
+from cyclosvp.rings import canonical_sq_length, cyclotomic, element, field_norm
 
 
 def run_cli(*argv):
@@ -42,6 +43,17 @@ def test_lambda1_round_trips():
     assert code == 0
     again_code, again = run_json("lambda1", "--p", int(data["p"]).__str__(), "--n", "3")
     assert again_code == 0 and again == data
+
+
+def test_lambda1_enumeration_fallback_at_60_digits():
+    # p = 1 (mod 16) just above 10^60: one rank-4 enumeration certifies it
+    p = 10**60 + 3201
+    code, data = run_json("lambda1", "--p", str(p), "--n", "2", "--enumerate-fallback")
+    assert code == 0 and data["method"] == "enumeration"
+    lam = int(data["lambda1_squared"])
+    witness = element(cyclotomic(2), [int(c) for c in data["witness"]["coeffs"]])
+    assert lam == canonical_sq_length(witness) and field_norm(witness) % p == 0
+    assert lam * lam >= 16 * p  # AM-GM: lambda1^2 >= d N^(2/d) with d = 4
 
 
 def test_classify_uncovered_exits_2():
@@ -132,36 +144,34 @@ def test_table_jobs_deterministic():
     assert serial == parallel
 
 
-class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
-
-    sizes: list = []
-
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items):
-        return map(fn, items)
-
-
 def test_table_jobs_clamped_to_cpu_count(monkeypatch):
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
-    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    sizes = []
+
+    class RecordingPool:
+        """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
     args = ("table", "--pmax", "100", "--classes", "9mod16", "--n", "2")
     _, serial = run_cli(*args)
     _, clamped = run_cli(*args, "--jobs", "100000")
-    assert _RecordingPool.sizes == [3] and clamped == serial
+    assert sizes == [3] and clamped == serial
     # one core (or an unknown count): no pool at all
     monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
     _, single = run_cli(*args, "--jobs", "8")
-    assert _RecordingPool.sizes == [3] and single == serial
+    assert sizes == [3] and single == serial
 
 
 def test_table_unknown_class():

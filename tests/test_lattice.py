@@ -424,7 +424,7 @@ def test_svp_radius_never_above_the_answer():
 
 def test_fallback_rank16_needs_one_enumeration(monkeypatch):
     # p = 31, 223, 383, 769 at n = 4: lambda1^2 exceeds twice the AM-GM
-    # floor, the start radius of the former doubling search
+    # floor d N^(2/d), so a search started there would have to grow its radius
     ref = json.loads(
         (Path(__file__).parents[1] / "perfbench" / "fallback_reference.json").read_text()
     )
@@ -479,6 +479,15 @@ def test_lift_ideal_requires_larger_ring():
 
 
 # --- misc -----------------------------------------------------------------
+
+
+def test_round_div_matches_fraction_rounding():
+    for a in range(-60, 61):
+        for b in range(1, 13):
+            assert lattice._round_div(a, b) == round(Fraction(a, b))
+    big = 10**200 + 7
+    assert lattice._round_div(3 * big, 2 * big) == 2  # 3/2, half to even
+    assert lattice._round_div(-5 * big, 2 * big) == -2
 
 
 def test_gauss_reduce_gram_rounds_half_to_even():
