@@ -1,9 +1,9 @@
 """Command-line surface: single queries, batch tables, verification runs.
 
 Commands: classify, pell, sqrtmod, lambda1, shortest, bounds, verify,
-table.  Output is machine readable (JSON objects, or CSV for tables);
-every numeric JSON value is a decimal string so arbitrary precision
-survives any consumer.  Exit codes: 0 success, 2 domain error (composite
+table.  Output is machine readable (JSON objects; CSV or JSON for tables,
+the one command with --format); every numeric JSON value is a decimal
+string so arbitrary precision survives any consumer.  Exit codes: 0 success, 2 domain error (composite
 p, uncovered class, ...) with a one-line error object, 1 internal
 consistency failure (formula/enumeration mismatch; never masked).
 """
@@ -31,6 +31,7 @@ from .idealsvp import (
 )
 from .lattice import SvpCertificate
 from .ntheory import (
+    COVERAGE,
     class_label,
     classify_prime,
     is_prime,
@@ -41,13 +42,10 @@ from .ntheory import (
 from .pell import solve_pell
 from .rings import element_to_json, ring_by_name
 
-_CLASS_MIN_LEVEL = {"5mod8": 1, "3mod8": 2, "9mod16": 2, "7mod16": 3}
 _TABLE_COLUMNS = ("p", "class", "a_p", "lambda1_sq", "bound_new", "bound_minkowski", "certified")
 
 
-def _require_prime(p: int | None) -> int:
-    if p is None:
-        raise DomainError("--p is required for this command")
+def _require_prime(p: int) -> int:
     if p < 2 or not is_prime(p):
         raise DomainError(f"{p} is not prime", payload={"error": "not_prime"})
     return p
@@ -75,7 +73,7 @@ def _cmd_classify(args) -> dict:
         "p": str(p),
         "class_mod8": str(rc.class_mod8),
         "class_mod16": str(rc.class_mod16),
-        "class": class_label(p),
+        "class": rc.label,
         "supported": rc.supported,
         "min_level": str(rc.min_level),
         "splitting": list(rc.splitting),
@@ -170,19 +168,19 @@ def _cmd_verify(args) -> dict:
 def table_row(p: int, n: int) -> dict:
     """One bound-comparison row; a_p and the tight bound apply to the
     p = 7, 9 (mod 16) classes only and are empty otherwise."""
-    label = class_label(p)
     res = lambda1_squared(p, n)
+    rc = res.residue_class
     row = {
         "p": str(p),
-        "class": label,
+        "class": rc.label,
         "a_p": "",
         "lambda1_sq": str(res.lambda1_sq),
         "bound_new": "",
         "bound_minkowski": "",
         "certified": "true" if res.witness.cross_checked else "false",
     }
-    if label in ("7mod16", "9mod16"):
-        row["a_p"] = str(solve_pell(p).a)
+    if rc.uses_a_p:
+        row["a_p"] = str(res.pell.a)
         row["bound_new"] = fourth_root_decimal(res.bound_new_radicand)
         row["bound_minkowski"] = fourth_root_decimal(res.bound_minkowski_radicand)
     return row
@@ -198,15 +196,10 @@ def emit_table(pmax: int, classes: set[str], n: int, jobs: int = 1) -> list[dict
     if pmax < 3:
         raise DomainError("--pmax must be at least 3")
     work = []
-    for p in sieve_primes(pmax):
-        if p == 2:
-            continue
+    for p in sieve_primes(pmax)[1:]:  # odd primes
         label = class_label(p)
-        if label not in classes or label not in _CLASS_MIN_LEVEL:
-            continue
-        if n < _CLASS_MIN_LEVEL[label]:
-            continue
-        work.append((p, n))
+        if label in classes and label in COVERAGE and n >= COVERAGE[label].min_level:
+            work.append((p, n))
     jobs = min(jobs, os.cpu_count() or 1)
     if jobs > 1 and len(work) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -216,7 +209,7 @@ def emit_table(pmax: int, classes: set[str], n: int, jobs: int = 1) -> list[dict
 
 def _cmd_table(args) -> list[dict]:
     classes = {c.strip() for c in args.classes.split(",") if c.strip()}
-    unknown = classes - set(_CLASS_MIN_LEVEL)
+    unknown = classes - set(COVERAGE)
     if unknown:
         raise DomainError(f"unknown class labels: {sorted(unknown)}")
     return emit_table(args.pmax, classes, args.n, args.jobs)
@@ -247,7 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
         if n:
             sp.add_argument("--n", type=int, default=2,
                             help="tower level: ring Z[zeta_{2^(n+1)}], rank 2^n")
-        sp.add_argument("--format", choices=("json", "csv"), default="json")
 
     sp = sub.add_parser("classify", help="residue class and splitting tower")
     common(sp, p=True)
@@ -268,12 +260,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="shortest-generator == shortest-vector suite")
     sp.add_argument("--ring", choices=[r.name for r in SVSG_RINGS], default=None)
     sp.add_argument("--norm-bound", type=int, default=100)
-    sp.add_argument("--format", choices=("json", "csv"), default="json")
     sp = sub.add_parser("table", help="bound-comparison table over covered primes")
     sp.add_argument("--pmax", type=int, required=True)
     sp.add_argument("--n", type=int, default=2)
-    sp.add_argument("--classes", default="5mod8,3mod8,9mod16,7mod16",
-                    help="comma list from {5mod8,3mod8,9mod16,7mod16}")
+    sp.add_argument("--classes", default=",".join(COVERAGE),
+                    help=f"comma list from {{{','.join(COVERAGE)}}}")
     sp.add_argument("--jobs", type=int, default=1, help="parallel workers across primes")
     sp.add_argument("--format", choices=("json", "csv"), default="csv")
     return parser

@@ -13,6 +13,10 @@ For p = 7, 9 (mod 16) the length also satisfies the strict bound chain
 lambda1^4 < 2^(2n+1) p < 2^(4n) p (the right-hand member is the fourth
 power of the covolume bound 2^n * p^(1/4)).
 
+Which classes are covered, from which level and whether through a_p is
+read from the one class table, ``ntheory.COVERAGE``; each query classifies
+p once (in _require_covered) and solves the Pell equation at most once.
+
 In Z[i], Z[sqrt2], Z[zeta8] and Z[zeta16+zeta16^7] every ideal has a
 generator realizing the shortest vector, so shortest-vector search
 reduces to shortest-generator search: pick any generator g and minimize
@@ -51,14 +55,13 @@ from .lattice import (
 )
 from .ntheory import (
     ResidueClass,
-    class_label,
     classify_prime,
     is_prime,
     root_of_minus_one,
     sieve_primes,
     sqrt_mod,
 )
-from .pell import solve_pell
+from .pell import PellSolution, solve_pell
 from .rings import (
     CYCLO_EIGHTH,
     GAUSSIAN_INT,
@@ -409,7 +412,8 @@ def svsg_verify(ring: Ring, norm_bound: int) -> SvsgReport:
 
 def _base_witness(p: int, label: str, n: int, root_hint: int | None):
     """Construct (base_lattice, witness, base_sq, method) in the smallest
-    ring of the tower that contains the shortest vector."""
+    ring of the tower that contains the shortest vector.  For p = 7, 9
+    (mod 16) base_sq comes from enumeration; the caller checks it is 4 a_p."""
     if label == "5mod8" or (label == "9mod16" and n == 1):
         a, b = cornacchia(p, 1)
         r0 = (-a * pow(b, -1, p)) % p
@@ -435,60 +439,56 @@ def _base_witness(p: int, label: str, n: int, root_hint: int | None):
         lat = principal_ideal_lattice(CYCLO_EIGHTH, w)
         return lat, w, 4 * p, "analytic-formula"
     if label == "9mod16":
+        ring = CYCLO_EIGHTH
         r = root_hint if root_hint is not None else root_of_minus_one(p, 2)
-        lat = prime_ideal_lattice(CYCLO_EIGHTH, p, r)
-        a_p = solve_pell(p).a
-        cert = svp_enumerate(lat, 4 * a_p)
-        if cert.sq_length != 4 * a_p:
-            raise ConsistencyError(
-                f"enumeration found {cert.sq_length} != 4 a_p = {4 * a_p} for p={p}"
-            )
-        return lat, cert.vector, 4 * a_p, "enumeration"
-    if label == "7mod16":
-        if root_hint is not None:
-            r = root_hint
-        else:
-            roots = theta_roots(p)
-            if not roots:
-                raise ConsistencyError(f"theta quartic has no roots mod {p}")
-            r = roots[0]
-        lat = prime_ideal_lattice(QUARTIC_THETA, p, r)
-        a_p = solve_pell(p).a
-        cert = svp_enumerate(lat, 4 * a_p)
-        if cert.sq_length != 4 * a_p:
-            raise ConsistencyError(
-                f"enumeration found {cert.sq_length} != 4 a_p = {4 * a_p} for p={p}"
-            )
-        return lat, cert.vector, 4 * a_p, "enumeration"
-    raise DomainError(f"no witness construction for class {label}")
+    elif label == "7mod16":
+        ring = QUARTIC_THETA
+        roots = theta_roots(p) if root_hint is None else [root_hint]
+        if not roots:
+            raise ConsistencyError(f"theta quartic has no roots mod {p}")
+        r = roots[0]
+    else:
+        raise DomainError(f"no witness construction for class {label}")
+    lat = prime_ideal_lattice(ring, p, r)
+    cert = svp_enumerate(lat)
+    return lat, cert.vector, cert.sq_length, "enumeration"
 
 
-def _require_covered(p: int, n: int) -> tuple[ResidueClass, str]:
+def _require_covered(p: int, n: int, enumerate_fallback: bool = False) -> ResidueClass:
+    """Classify p and check n against the class table, once per query; an
+    uncovered class passes only when the caller enumerates instead."""
     rc = classify_prime(p)
     if n < 1:
         raise DomainError(f"tower level must be >= 1, got {n}")
-    label = class_label(p)
     if not rc.supported:
+        if enumerate_fallback:
+            return rc
         raise DomainError(
             f"p = {p} = {rc.class_mod16} (mod 16): no length formula",
             payload={"error": "class_not_covered", "class_mod16": str(rc.class_mod16)},
         )
-    if label == "7mod16" and n < 3:
+    if n < rc.min_level and rc.level1_note is None:  # p = 7 (mod 16) at n = 1, 2
         raise DomainError(
-            f"p = 7 (mod 16) needs level n >= 3 (zeta_16 must embed), got {n}"
+            f"p = {rc.class_mod16} (mod 16) needs level n >= {rc.min_level} "
+            f"(zeta_16 must embed), got {n}"
         )
-    return rc, label
+    return rc
 
 
-def shortest_vector(p: int, n: int, root_hint: int | None = None) -> SvpCertificate:
-    """Shortest-vector witness for the prime ideal over p at tower level n.
+def _pell_if_solvable(p: int) -> PellSolution | None:
+    """solve_pell(p) where a^2 - 2b^2 = p is solvable, i.e. p = +-1 (mod 8)."""
+    return solve_pell(p) if p % 8 in (1, 7) else None
 
-    Built in the minimal subring (Cornacchia representation or rank-4
-    enumeration), lifted to Z[zeta_{2^(n+1)}], and re-enumerated at the
-    target rank when it is <= 16 (cross_checked records this).
-    """
-    _, label = _require_covered(p, n)
-    base_lat, w, base_sq, method = _base_witness(p, label, n, root_hint)
+
+def _certify(rc: ResidueClass, n: int, root_hint: int | None,
+             pell: PellSolution | None) -> SvpCertificate:
+    """shortest_vector for a (p, n) that _require_covered accepted, with
+    pell = _pell_if_solvable(p)."""
+    base_lat, w, base_sq, method = _base_witness(rc.p, rc.label, n, root_hint)
+    if method == "enumeration" and base_sq != 4 * pell.a:
+        raise ConsistencyError(
+            f"enumeration found {base_sq} != 4 a_p = {4 * pell.a} for p={rc.p}"
+        )
     target = cyclotomic(n)
     ratio = target.degree // base_lat.ring.degree
     expected = base_sq * ratio
@@ -508,10 +508,21 @@ def shortest_vector(p: int, n: int, root_hint: int | None = None) -> SvpCertific
     return SvpCertificate(canonical_torsion_rep(w_lift), expected, method, False)
 
 
+def shortest_vector(p: int, n: int, root_hint: int | None = None) -> SvpCertificate:
+    """Shortest-vector witness for the prime ideal over p at tower level n.
+
+    Built in the minimal subring (Cornacchia representation or rank-4
+    enumeration), lifted to Z[zeta_{2^(n+1)}], and re-enumerated at the
+    target rank when it is <= 16 (cross_checked records this).
+    """
+    return _certify(_require_covered(p, n), n, root_hint, _pell_if_solvable(p))
+
+
 @dataclass(frozen=True)
 class Lambda1Result:
     """Shortest length of the prime ideal over p at level n, with witness
-    and the two upper-bound radicands (fourth powers), where covered."""
+    and the two upper-bound radicands (fourth powers), where covered, and
+    the fundamental solution of a^2 - 2b^2 = p where it exists."""
 
     p: int
     n: int
@@ -521,22 +532,7 @@ class Lambda1Result:
     bound_new_radicand: int | None
     bound_minkowski_radicand: int | None
     note: str | None = None
-
-
-def _formula_lambda1_sq(p: int, label: str, n: int) -> tuple[int, str | None]:
-    if label == "5mod8":
-        return (1 << n) * p, None
-    if label == "3mod8":
-        if n == 1:
-            return 2 * p * p, "inert: p stays prime in Z[i]; value is for the ideal (p)"
-        return (1 << n) * p, None
-    if label == "9mod16":
-        if n == 1:
-            return 2 * p, "level 1 falls back to the split Z[i] case"
-        return (1 << n) * solve_pell(p).a, None
-    if label == "7mod16":
-        return (1 << n) * solve_pell(p).a, None
-    raise DomainError(f"no formula for class {label}")
+    pell: PellSolution | None = None
 
 
 def lambda1_squared(
@@ -553,39 +549,28 @@ def lambda1_squared(
     ``enumerate_fallback`` is set, in which case pure enumeration is used
     and no bound radicands are reported.
     """
-    rc = classify_prime(p)
-    if n < 1:
-        raise DomainError(f"tower level must be >= 1, got {n}")
-    label = class_label(p)
+    rc = _require_covered(p, n, enumerate_fallback)
+    pell = _pell_if_solvable(p)
     if not rc.supported:
-        if not enumerate_fallback:
-            raise DomainError(
-                f"p = {p} = {rc.class_mod16} (mod 16): no length formula",
-                payload={
-                    "error": "class_not_covered",
-                    "class_mod16": str(rc.class_mod16),
-                },
-            )
         cert = _fallback_enumerate(p, n)
         return Lambda1Result(p, n, rc, cert.sq_length, cert, None, None,
-                             note="enumeration fallback; no formula for this class")
-    if label == "7mod16" and n < 3:
-        raise DomainError(
-            f"p = 7 (mod 16) needs level n >= 3 (zeta_16 must embed), got {n}"
-        )
-    lam, note = _formula_lambda1_sq(p, label, n)
-    witness = shortest_vector(p, n, root_hint)
+                             "enumeration fallback; no formula for this class", pell)
+    new_rad = mink_rad = note = None
+    if n < rc.min_level:  # level 1: the inert ideal (p), or the split Z[i] case
+        lam, note = (2 * p * p if rc.class_mod8 == 3 else 2 * p), rc.level1_note
+    else:
+        lam = (1 << n) * (pell.a if rc.uses_a_p else p)
+        if rc.uses_a_p:
+            new_rad = (1 << (2 * n + 1)) * p
+            mink_rad = (1 << (4 * n)) * p
+    witness = _certify(rc, n, root_hint, pell)
     if witness.sq_length != lam:
         raise ConsistencyError(
             f"formula gives {lam} but witness has length {witness.sq_length}"
         )
-    new_rad = mink_rad = None
-    if label in ("7mod16", "9mod16") and n >= 2:
-        new_rad = (1 << (2 * n + 1)) * p
-        mink_rad = (1 << (4 * n)) * p
-        if lam * lam >= new_rad:
-            raise ConsistencyError(f"bound lambda1^4 < 2^(2n+1) p violated at p={p}, n={n}")
-    return Lambda1Result(p, n, rc, lam, witness, new_rad, mink_rad, note)
+    if new_rad and lam * lam >= new_rad:
+        raise ConsistencyError(f"bound lambda1^4 < 2^(2n+1) p violated at p={p}, n={n}")
+    return Lambda1Result(p, n, rc, lam, witness, new_rad, mink_rad, note, pell)
 
 
 def lambda1_sq_zsqrt2(p: int) -> int:
@@ -645,16 +630,14 @@ class BoundsResult:
 def bounds(p: int, n: int) -> BoundsResult:
     """lambda1 and the two upper bounds for p = 7, 9 (mod 16), exact
     radicands plus 12-significant-digit decimal renderings."""
-    classify_prime(p)
-    label = class_label(p)
-    if label not in ("7mod16", "9mod16"):
+    rc = classify_prime(p)
+    if not rc.uses_a_p:
         raise DomainError(
-            f"the tight bound covers p = 7, 9 (mod 16) only; p = {p} is {label}",
-            payload={"error": "class_not_covered", "class_mod16": str(p % 16)},
+            f"the tight bound covers p = 7, 9 (mod 16) only; p = {p} is {rc.label}",
+            payload={"error": "class_not_covered", "class_mod16": str(rc.class_mod16)},
         )
-    min_n = 2 if label == "9mod16" else 3
-    if n < min_n:
-        raise DomainError(f"class {label} needs level n >= {min_n}, got {n}")
+    if n < rc.min_level:
+        raise DomainError(f"class {rc.label} needs level n >= {rc.min_level}, got {n}")
     a_p = solve_pell(p).a
     lam = (1 << n) * a_p
     new_rad = (1 << (2 * n + 1)) * p
@@ -797,17 +780,13 @@ def _fallback_enumerate(p: int, n: int) -> SvpCertificate:
 
 
 def result_to_json(res: Lambda1Result) -> dict:
-    rc = res.residue_class
-    a_p = b_p = None
-    if res.p % 8 in (1, 7):
-        sol = solve_pell(res.p)
-        a_p, b_p = str(sol.a), str(sol.b)
+    sol = res.pell
     data = {
         "p": str(res.p),
         "n": str(res.n),
-        "class_mod16": str(rc.class_mod16),
-        "a_p": a_p,
-        "b_p": b_p,
+        "class_mod16": str(res.residue_class.class_mod16),
+        "a_p": str(sol.a) if sol else None,
+        "b_p": str(sol.b) if sol else None,
         "lambda1_squared": str(res.lambda1_sq),
         "lambda1_decimal": sqrt_decimal(res.lambda1_sq),
         "bound_new_decimal": (

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError
 
@@ -152,10 +153,13 @@ def root_of_minus_one(p: int, k: int) -> int:
 class ResidueClass:
     """Residue-class data of an odd prime with its decomposition tower.
 
-    ``supported`` is True exactly when a shortest-vector length formula
-    exists: p = 3, 5 (mod 8) or p = 7, 9 (mod 16).  ``min_level`` is the
+    The coverage fields come from ``COVERAGE``, the class table and the
+    package's only statement of which classes have a length formula
+    (``supported``: p = 3, 5 mod 8 and 7, 9 mod 16).  ``min_level`` is the
     smallest tower level n (ring Z[zeta_{2^{n+1}}]) the formula covers,
-    or None for unsupported classes.
+    ``uses_a_p`` marks the classes whose length rests on a_p (the ones the
+    tight bound covers) and ``level1_note`` names the ideal answered at
+    level 1 below ``min_level``; unsupported classes get None, False, None.
     """
 
     p: int
@@ -164,6 +168,17 @@ class ResidueClass:
     supported: bool
     min_level: int | None
     splitting: tuple[str, ...]
+    label: str
+    uses_a_p: bool
+    level1_note: str | None
+
+
+class Coverage(NamedTuple):
+    """One row of the class table."""
+
+    min_level: int | None
+    uses_a_p: bool
+    level1_note: str | None = None
 
 
 _SPLITTING = {
@@ -198,7 +213,16 @@ _SPLITTING = {
     ),
 }
 
-_MIN_LEVEL = {"5mod8": 1, "3mod8": 2, "9mod16": 2, "7mod16": 3}
+# The class table.  The 3, 5 (mod 8) rows follow Pan et al. (EUROCRYPT
+# 2021); the 7, 9 (mod 16) rows go through a_p.  Below its minimum a class
+# is refused unless it has a level-1 note, which only classes with minimum
+# level 2 have.
+COVERAGE = {
+    "5mod8": Coverage(1, False),
+    "3mod8": Coverage(2, False, "inert: p stays prime in Z[i]; value is for the ideal (p)"),
+    "9mod16": Coverage(2, True, "level 1 falls back to the split Z[i] case"),
+    "7mod16": Coverage(3, True),
+}
 
 
 def class_label(p: int) -> str:
@@ -228,11 +252,15 @@ def classify_prime(p: int) -> ResidueClass:
     if not is_prime(p):
         raise DomainError(f"{p} is not prime")
     label = class_label(p)
+    cov = COVERAGE.get(label, Coverage(None, False))
     return ResidueClass(
         p=p,
         class_mod8=p % 8,
         class_mod16=p % 16,
-        supported=label in _MIN_LEVEL,
-        min_level=_MIN_LEVEL.get(label),
+        supported=label in COVERAGE,
+        min_level=cov.min_level,
         splitting=_SPLITTING[label],
+        label=label,
+        uses_a_p=cov.uses_a_p,
+        level1_note=cov.level1_note,
     )
