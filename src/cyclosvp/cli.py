@@ -16,6 +16,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
+from functools import lru_cache
 
 from .errors import ConsistencyError, DomainError, RadiusExhausted
 from .idealsvp import (
@@ -195,6 +196,8 @@ def emit_table(pmax: int, classes: set[str], n: int, jobs: int = 1) -> list[dict
     admits level n, ordered by p.  At most os.cpu_count() workers run."""
     if pmax < 3:
         raise DomainError("--pmax must be at least 3")
+    if n < 1:
+        raise DomainError(f"tower level must be >= 1, got {n}")
     work = []
     for p in sieve_primes(pmax)[1:]:  # odd primes
         label = class_label(p)
@@ -281,10 +284,15 @@ _DISPATCH = {
 }
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first run and reused for the process."""
+    return build_parser()
+
+
 def run(argv=None, out=None) -> int:
     out = out or sys.stdout
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.command == "table":
             _print_table(_cmd_table(args), args.format, out)

@@ -34,6 +34,7 @@ is never silently resolved.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from decimal import Context, Decimal, ROUND_HALF_EVEN
 from math import isqrt
@@ -79,8 +80,8 @@ from .rings import (
     integer,
     lift_element,
     mul,
-    torsion_generator,
     unit,
+    zeta_shift,
 )
 
 SVSG_RINGS = (GAUSSIAN_INT, QUAD_SQRT2, CYCLO_EIGHTH, QUARTIC_THETA)
@@ -232,18 +233,14 @@ def _window_min(g: RingElement) -> tuple[int, int, RingElement]:
 
 def canonical_torsion_rep(w: RingElement) -> RingElement:
     """Deterministic representative of {torsion * w}: the sign-normalized
-    coefficient vector that is lexicographically smallest."""
+    coefficient vector that is lexicographically smallest.  In a
+    cyclotomic ring the torsion is +-zeta^j and the candidates are the d
+    rotations zeta^j * w; elsewhere it is +-1."""
     ring = w.ring
-    t = torsion_generator(ring)
-
-    best = canonical_coeffs(w.coeffs)
-    cur = w
-    for _ in range(ring.torsion_order - 1):
-        cur = mul(cur, t)
-        cand = canonical_coeffs(cur.coeffs)
-        if cand < best:
-            best = cand
-    return element(ring, best)
+    if ring.cyclo_level is None:
+        return element(ring, canonical_coeffs(w.coeffs))
+    return element(ring, min(canonical_coeffs(zeta_shift(w, j).coeffs)
+                             for j in range(ring.degree)))
 
 
 def _svsg_core(lat: IntegerLattice, norm: int) -> tuple[int, int, RingElement]:
@@ -480,6 +477,33 @@ def _pell_if_solvable(p: int) -> PellSolution | None:
     return solve_pell(p) if p % 8 in (1, 7) else None
 
 
+def _lift_check(base: Callable[[], IntegerLattice], w: RingElement, sq: int,
+                target: Ring):
+    """Lift w, a shortest vector of squared length sq in the ideal lattice
+    base(), to the target ring.  Returns (lifted w, lifted squared length,
+    certificate of the re-enumeration or None).
+
+    The squared length must scale by the degree ratio; at target rank <=
+    the enumeration cap the lifted w must lie in the lifted ideal, and
+    enumerating that ideal must find nothing shorter.  base is called
+    only then: above the cap its Gram matrix would go unused."""
+    expected = sq * (target.degree // w.ring.degree)
+    w_lift = lift_element(w, target)
+    if canonical_sq_length(w_lift) != expected:
+        raise ConsistencyError("lift did not scale the squared length by the degree ratio")
+    if target.degree > max_enumeration_rank():
+        return w_lift, expected, None
+    tower = lift_ideal_lattice(base(), target)
+    if not contains(tower, w_lift):
+        raise ConsistencyError("lifted witness escaped the lifted ideal")
+    cert = svp_enumerate(tower, expected)
+    if cert.sq_length != expected:
+        raise ConsistencyError(
+            f"enumeration in {target.name} found {cert.sq_length} != {expected}"
+        )
+    return w_lift, expected, cert
+
+
 def _certify(rc: ResidueClass, n: int, root_hint: int | None,
              pell: PellSolution | None) -> SvpCertificate:
     """shortest_vector for a (p, n) that _require_covered accepted, with
@@ -489,23 +513,10 @@ def _certify(rc: ResidueClass, n: int, root_hint: int | None,
         raise ConsistencyError(
             f"enumeration found {base_sq} != 4 a_p = {4 * pell.a} for p={rc.p}"
         )
-    target = cyclotomic(n)
-    ratio = target.degree // base_lat.ring.degree
-    expected = base_sq * ratio
-    w_lift = lift_element(w, target)
-    if canonical_sq_length(w_lift) != expected:
-        raise ConsistencyError("lift did not scale the squared length by the degree ratio")
-    if target.degree <= max_enumeration_rank():
-        tower = lift_ideal_lattice(base_lat, target)
-        if not contains(tower, w_lift):
-            raise ConsistencyError("lifted witness escaped the lifted ideal")
-        cert = svp_enumerate(tower, expected)
-        if cert.sq_length != expected:
-            raise ConsistencyError(
-                f"enumeration at level {n} found {cert.sq_length} != {expected}"
-            )
-        return SvpCertificate(cert.vector, expected, method, True)
-    return SvpCertificate(canonical_torsion_rep(w_lift), expected, method, False)
+    w_lift, expected, cert = _lift_check(lambda: base_lat, w, base_sq, cyclotomic(n))
+    if cert is None:
+        return SvpCertificate(canonical_torsion_rep(w_lift), expected, method, False)
+    return SvpCertificate(cert.vector, expected, method, True)
 
 
 def shortest_vector(p: int, n: int, root_hint: int | None = None) -> SvpCertificate:
@@ -580,7 +591,7 @@ def lambda1_sq_zsqrt2(p: int) -> int:
     Also asserts the bound lambda1 <= sqrt(2 sqrt2 p) in the exact
     fourth-power form lambda1^4 <= 8 p^2."""
     plus = solve_pell(p, 1)
-    minus = solve_pell(p, -1)
+    minus = PellSolution(p, -1, plus.a - 2 * plus.b, plus.a - plus.b)
     lam = 2 * min(2 * plus.a * plus.a - p, 2 * minus.a * minus.a + p)
     if lam * lam > 8 * p * p:
         raise ConsistencyError(f"lambda1^4 <= 8 p^2 violated at p={p}")
@@ -598,21 +609,9 @@ def lift_shortest(cert: SvpCertificate, n: int) -> SvpCertificate:
     src = cert.vector.ring
     if src is target:
         return cert
-    w2 = lift_element(cert.vector, target)
-    ratio = target.degree // src.degree
-    sq2 = cert.sq_length * ratio
-    if canonical_sq_length(w2) != sq2:
-        raise ConsistencyError("lift did not scale the squared length by the degree ratio")
-    cross = False
-    if target.degree <= max_enumeration_rank():
-        lat = principal_ideal_lattice(target, w2)
-        check = svp_enumerate(lat, sq2)
-        if check.sq_length != sq2:
-            raise ConsistencyError(
-                f"re-enumeration found {check.sq_length} < {sq2} after lifting"
-            )
-        cross = True
-    return SvpCertificate(canonical_torsion_rep(w2), sq2, cert.method, cross)
+    w2, sq2, check = _lift_check(lambda: principal_ideal_lattice(src, cert.vector),
+                                 cert.vector, cert.sq_length, target)
+    return SvpCertificate(canonical_torsion_rep(w2), sq2, cert.method, check is not None)
 
 
 @dataclass(frozen=True)

@@ -23,10 +23,10 @@ from .errors import ConsistencyError, DomainError, RadiusExhausted
 from .rings import (
     Ring,
     RingElement,
-    cyclotomic,
     element,
     lift_element,
     mul,
+    zeta_shift,
 )
 
 DEFAULT_DELTA = Fraction(99, 100)
@@ -222,49 +222,28 @@ def principal_ideal_lattice(ring: Ring, alpha: RingElement) -> IntegerLattice:
 
 
 def lift_ideal_lattice(lat: IntegerLattice, target: Ring) -> IntegerLattice:
-    """Extend an ideal lattice along the fixed ring embedding.
+    """Extend an ideal lattice along the fixed ring embedding into a
+    cyclotomic target: the lattice of (ideal) * target-ring.
 
-    Uses the module decomposition of the larger ring over the smaller
-    (powers of zeta between cyclotomic levels; {1, zeta_16} over theta16),
-    so the result is the lattice of (ideal) * target-ring.
+    For every source ring (cyclotomic, zsqrt2 or theta16) the target ring
+    is spanned over the source by 1, zeta, ..., zeta^(r-1), r the degree
+    ratio, because zeta's minimal polynomial over the source has degree r
+    and is monic with coefficients in the source ring.  The generating
+    rows are therefore zeta^j * b_i for each lifted basis element b_i and
+    j < r, put in HNF once.
     """
     source = lat.ring
     if source is target:
         return lat
-    if source.cyclo_level is None:
-        # Z[zeta8] = Z[sqrt2] + zeta*Z[sqrt2] (zeta^2 - sqrt2*zeta + 1 = 0);
-        # Z[zeta16] = Z[th] + zeta*Z[th] (zeta^2 - th*zeta - 1 = 0)
-        mid = cyclotomic(2 if source.name == "zsqrt2" else 3)
-        zeta = element(mid, [0, 1] + [0] * (mid.degree - 2))
-        rows = []
-        for b in lat.basis:
-            lifted = lift_element(b, mid)
-            rows.append(list(lifted.coeffs))
-            rows.append(list(mul(lifted, zeta).coeffs))
-        meta = lat.ideal_meta and (lat.ideal_meta[0], None)
-        lifted_lat = lattice_from_rows(mid, rows, ideal_meta=meta)
-        return lift_ideal_lattice(lifted_lat, target)
-    if source.cyclo_level is None or target.cyclo_level is None:
+    if target.cyclo_level is None:
         raise DomainError(f"no ideal lift from {source.name} to {target.name}")
-    if target.cyclo_level < source.cyclo_level:
+    if target.degree < source.degree:
         raise DomainError("can only lift to a larger ring")
     ratio = target.degree // source.degree
-    d = target.degree
     rows = []
     for b in lat.basis:
-        lifted = list(lift_element(b, target).coeffs)
-        for j in range(ratio):
-            row = [0] * d
-            # multiply by zeta^j: indices shift by j, no wrap since the
-            # lifted support sits in multiples of ratio
-            for idx, c in enumerate(lifted):
-                if c:
-                    e = idx + j
-                    if e < d:
-                        row[e] += c
-                    else:
-                        row[e - d] -= c
-            rows.append(row)
+        lifted = lift_element(b, target)
+        rows.extend(list(zeta_shift(lifted, j).coeffs) for j in range(ratio))
     meta = lat.ideal_meta and (lat.ideal_meta[0], None)
     return lattice_from_rows(target, rows, ideal_meta=meta)
 

@@ -206,10 +206,6 @@ def neg(x: RingElement) -> RingElement:
     return RingElement(x.ring, tuple(-a for a in x.coeffs))
 
 
-def scalar_mul(n: int, x: RingElement) -> RingElement:
-    return RingElement(x.ring, tuple(n * a for a in x.coeffs))
-
-
 def mul(x: RingElement, y: RingElement) -> RingElement:
     """Exact product, reduced modulo the defining relation."""
     _check_same_ring(x, y)
@@ -230,6 +226,21 @@ def mul(x: RingElement, y: RingElement) -> RingElement:
                 if row[i]:
                     out[i] += c * row[i]
     return RingElement(ring, tuple(out))
+
+
+def zeta_shift(x: RingElement, e: int) -> RingElement:
+    """x * zeta^e in a cyclotomic ring: the coefficient vector rotated by
+    e places, with the coefficients that wrap past zeta^(d-1) negated
+    (zeta^d = -1)."""
+    ring = x.ring
+    if ring.cyclo_level is None:
+        raise DomainError(f"{ring.name} is not a cyclotomic ring")
+    d = ring.degree
+    e %= 2 * d
+    c = x.coeffs
+    if e >= d:
+        c, e = tuple(-v for v in c), e - d
+    return RingElement(ring, tuple(-v for v in c[d - e:]) + c[:d - e])
 
 
 def power(x: RingElement, n: int) -> RingElement:
@@ -366,29 +377,15 @@ def _generator_image(source: Ring, target: Ring) -> RingElement:
     """Image of source's generator under the fixed embedding into target."""
     if target.cyclo_level is not None:
         k = target.cyclo_level
-        d = target.degree
-
-        def zeta_pow(e: int) -> list[int]:
-            out = [0] * d
-            e %= 2 * d
-            if e < d:
-                out[e] = 1
-            else:
-                out[e - d] = -1
-            return out
-
+        one_t = one(target)
         if source.cyclo_level is not None and source.cyclo_level <= k:
-            return element(target, zeta_pow(1 << (k - source.cyclo_level)))
-        if source is QUAD_SQRT2 and k >= 2:
+            return zeta_shift(one_t, 1 << (k - source.cyclo_level))
+        if source is QUAD_SQRT2 and k >= 2:  # sqrt2 = zeta_8 - zeta_8^3
             e = 1 << (k - 2)
-            img = zeta_pow(e)
-            img3 = zeta_pow(3 * e)
-            return element(target, [a - b for a, b in zip(img, img3)])
-        if source is QUARTIC_THETA and k >= 3:
+            return sub(zeta_shift(one_t, e), zeta_shift(one_t, 3 * e))
+        if source is QUARTIC_THETA and k >= 3:  # t = zeta_16 + zeta_16^7
             e = 1 << (k - 3)
-            img = zeta_pow(e)
-            img7 = zeta_pow(7 * e)
-            return element(target, [a + b for a, b in zip(img, img7)])
+            return add(zeta_shift(one_t, e), zeta_shift(one_t, 7 * e))
     if source is QUAD_SQRT2 and target is QUARTIC_THETA:
         return element(target, (2, 0, 1, 0))
     raise DomainError(f"no embedding of {source.name} into {target.name}")

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from cyclosvp import cli, ntheory, pell
+from cyclosvp import cli, idealsvp, ntheory, pell
 from cyclosvp.ntheory import classify_prime, sieve_primes
 
 
@@ -132,6 +132,14 @@ def test_lambda1_classifies_and_solves_pell_once(calls, p):
     code, _ = run_cli("lambda1", "--p", p, "--n", 4)
     assert code == 0
     assert calls == {"classify_prime": 1, "solve_pell": 1}
+
+
+@pytest.mark.parametrize("p", [89, 71, 17])  # 9, 7 and 1 (mod 16)
+def test_zsqrt2_length_solves_pell_once(calls, p):
+    lam = idealsvp.lambda1_sq_zsqrt2(p)
+    assert lam == 2 * min(2 * pell.pell_oracle(p, 1).a ** 2 - p,
+                          2 * pell.pell_oracle(p, -1).a ** 2 + p)
+    assert calls["solve_pell"] == 1
 
 
 def test_table_row_solves_pell_once(calls):

@@ -174,6 +174,32 @@ def test_table_jobs_clamped_to_cpu_count(monkeypatch):
     assert sizes == [3] and single == serial
 
 
+def test_table_level_below_one_exits_2():
+    for fmt in ("csv", "json"):
+        code, data = run_json("table", "--pmax", "300", "--n", "0", "--format", fmt)
+        assert (code, data) == (2, {"error": "tower level must be >= 1, got 0"})
+    code, data = run_json("table", "--pmax", "300", "--n", "-1")
+    assert (code, data) == (2, {"error": "tower level must be >= 1, got -1"})
+
+
+def test_parser_is_built_once_per_process(monkeypatch):
+    built = []
+    original = cli.build_parser
+
+    def counted():
+        built.append(1)
+        return original()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    try:
+        assert run_json("pell", "--p", "89")[0] == 0
+        assert run_cli("table", "--pmax", "30", "--n", "2")[0] == 0
+        assert len(built) == 1
+    finally:
+        cli._parser.cache_clear()
+
+
 def test_table_unknown_class():
     code, data = run_json("table", "--pmax", "100", "--classes", "2mod7")
     assert code == 2 and "error" in data

@@ -1,10 +1,14 @@
 import math
+import random
+import sys
 
 import pytest
 
+from cyclosvp import idealsvp, rings
 from cyclosvp.errors import DomainError
 from cyclosvp.idealsvp import (
     bounds,
+    canonical_torsion_rep,
     cornacchia,
     fourth_root_decimal,
     iroot_floor,
@@ -19,7 +23,12 @@ from cyclosvp.idealsvp import (
     theta_roots,
     zeta16_lift_check,
 )
-from cyclosvp.lattice import prime_ideal_lattice, svp_enumerate
+from cyclosvp.lattice import (
+    canonical_coeffs,
+    prime_ideal_lattice,
+    principal_ideal_lattice,
+    svp_enumerate,
+)
 from cyclosvp.ntheory import is_prime, sieve_primes, sqrt_mod
 from cyclosvp.pell import solve_pell
 from cyclosvp.rings import (
@@ -31,6 +40,7 @@ from cyclosvp.rings import (
     cyclotomic,
     element,
     field_norm,
+    lift_element,
     mul,
     torsion_generator,
 )
@@ -318,6 +328,21 @@ def test_lift_shortest_errors():
         lift_shortest(cert, 1)
 
 
+def test_lift_shortest_builds_the_base_ideal_only_when_it_enumerates(monkeypatch):
+    built = []
+    original = idealsvp.principal_ideal_lattice
+
+    def counted(*args):
+        built.append(args[0].name)
+        return original(*args)
+
+    monkeypatch.setattr(idealsvp, "principal_ideal_lattice", counted)
+    above_cap = lift_shortest(lambda1_squared(89, 5).witness, 6)
+    assert built == [] and not above_cap.cross_checked
+    assert lift_shortest(lambda1_squared(89, 2).witness, 3).cross_checked
+    assert built == ["zeta8"]
+
+
 def test_zeta16_lift_checks():
     rep = zeta16_lift_check(7)
     assert (rep.subfield_sq, rep.extension_sq) == (12, 24) and rep.passed
@@ -329,6 +354,80 @@ def test_zeta16_lift_checks():
     assert rep.four_a_p == rep.subfield_sq
     with pytest.raises(DomainError):
         zeta16_lift_check(89)
+
+
+@pytest.mark.parametrize("ring, p", [(QUAD_SQRT2, 89), (QUAD_SQRT2, 7),
+                                     (QUARTIC_THETA, 7), (QUARTIC_THETA, 71)])
+def test_lift_shortest_from_generator_rings(ring, p):
+    """The lift of a Z[sqrt2] or Z[theta16] witness is certified by
+    re-enumerating the principal ideal of the lifted witness."""
+    r = next(r for r in range(p) if sum(c * pow(r, j, p) for j, c in enumerate(ring.poly)) % p == 0)
+    cert = shortest_generator(p, ring, r)
+    for n in range(3, 5):
+        target = cyclotomic(n)
+        lifted = lift_shortest(cert, n)
+        w = lift_element(cert.vector, target)
+        ratio = target.degree // ring.degree
+        assert lifted.sq_length == cert.sq_length * ratio and lifted.cross_checked
+        assert lifted.vector == canonical_torsion_rep(w)
+        assert svp_enumerate(principal_ideal_lattice(target, w)).sq_length == lifted.sq_length
+
+
+# --- torsion representatives -------------------------------------------------
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_canonical_torsion_rep_is_the_least_of_all_2d_rotations(n):
+    """Brute force over the whole torsion orbit zeta^j * w, j < 2d, by
+    generic mul."""
+    ring = cyclotomic(n)
+    d = ring.degree
+    zeta = element(ring, [0, 1] + [0] * (d - 2))
+    rng = random.Random(n)
+    samples = [
+        element(ring, [rng.randint(-3, 3) for _ in range(d)]),
+        element(ring, [1] * d),  # rotations tie up to sign
+        element(ring, [0] * (d - 1) + [-2]),
+    ]
+    if d > 2:
+        sparse = [0] * d
+        for j in rng.sample(range(d), 3):
+            sparse[j] = rng.choice((-5, -1, 1, 4))
+        samples.append(element(ring, sparse))
+    for w in samples:
+        best, cur = None, w
+        for _ in range(2 * d):
+            cand = canonical_coeffs(cur.coeffs)
+            best = cand if best is None or cand < best else best
+            cur = mul(cur, zeta)
+        assert cur == w
+        assert canonical_torsion_rep(w).coeffs == best
+
+
+def test_canonical_torsion_rep_off_the_cyclotomic_rings_is_the_sign():
+    for ring in (QUAD_SQRT2, QUARTIC_THETA):
+        w = element(ring, [-3, 1, 0, 2][: ring.degree])
+        assert canonical_torsion_rep(w).coeffs == tuple(-c for c in w.coeffs)
+        assert canonical_torsion_rep(-w) == canonical_torsion_rep(w)
+
+
+def test_canonical_torsion_rep_makes_no_ring_multiplication(monkeypatch):
+    original = rings.mul
+    count = [0]
+
+    def counted(*args):
+        count[0] += 1
+        return original(*args)
+
+    for key, mod in list(sys.modules.items()):
+        if mod is not None and key.startswith("cyclosvp"):
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counted)
+    for n in (1, 3, 6):
+        ring = cyclotomic(n)
+        canonical_torsion_rep(element(ring, list(range(1, ring.degree + 1))))
+    assert count[0] == 0
 
 
 # --- bounds -----------------------------------------------------------------

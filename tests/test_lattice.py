@@ -36,6 +36,8 @@ from cyclosvp.rings import (
     element,
     field_norm,
     integer,
+    lift_element,
+    mul,
 )
 
 
@@ -470,6 +472,41 @@ def test_lift_theta_to_zeta16():
     assert lifted.rank == 8
     # the extension has norm 7^2, so det(Gram) = (7^2)^2 * disc
     assert gram_det(lifted.gram) == 7**4 * ring_disc(cyclotomic(3))
+
+
+def _roots(ring, p):
+    return [r for r in range(p)
+            if sum(c * pow(r, j, p) for j, c in enumerate(ring.poly)) % p == 0]
+
+
+@pytest.mark.parametrize("source, levels, primes", [
+    (GAUSSIAN_INT, range(2, 6), (5, 13, 89)),
+    (QUAD_SQRT2, range(2, 6), (7, 17, 89)),
+    (CYCLO_EIGHTH, range(3, 6), (17, 41, 89)),
+    (QUARTIC_THETA, range(3, 6), (7, 71, 97)),
+])
+def test_lift_ideal_lattice_is_the_hnf_of_all_zeta_multiples(source, levels, primes):
+    """(ideal) * O_L is spanned by zeta^k * b_i for every k < d_target;
+    the lift keeps only k below the degree ratio and must give the same
+    HNF.  The multiples here come from generic mul."""
+    for p in primes:
+        for r in _roots(source, p)[:2]:
+            base = prime_ideal_lattice(source, p, r)
+            for k in levels:
+                target = cyclotomic(k)
+                d = target.degree
+                zeta = element(target, [0, 1] + [0] * (d - 2))
+                rows = []
+                for b in base.basis:
+                    cur = lift_element(b, target)
+                    for _ in range(d):
+                        rows.append(list(cur.coeffs))
+                        cur = mul(cur, zeta)
+                lifted = lift_ideal_lattice(base, target)
+                assert lifted.rows() == hnf_rows(rows, d)
+                assert lifted.gram == lattice_from_rows(target, rows).gram
+                assert lifted.ideal_meta == (p, None)
+            assert lift_ideal_lattice(base, source) is base
 
 
 def test_lift_ideal_requires_larger_ring():

@@ -28,6 +28,7 @@ from cyclosvp.rings import (
     power,
     ring_by_name,
     unit,
+    zeta_shift,
 )
 
 ALL_RINGS = (GAUSSIAN_INT, QUAD_SQRT2, CYCLO_EIGHTH, QUARTIC_THETA, cyclotomic(3), cyclotomic(4))
@@ -63,6 +64,23 @@ def test_conjugate_product_chain_over_89():
 def test_mul_ring_mismatch():
     with pytest.raises(DomainError):
         mul(integer(GAUSSIAN_INT, 1), integer(QUAD_SQRT2, 1))
+
+
+def test_zeta_shift_is_multiplication_by_a_power_of_zeta():
+    rng = random.Random(11)
+    for k in range(1, 6):
+        ring = cyclotomic(k)
+        d = ring.degree
+        zeta = element(ring, [0, 1] + [0] * (d - 2))
+        x = rand_elem(ring, rng)
+        for e in range(-2 * d, 4 * d + 1):
+            assert zeta_shift(x, e) == mul(x, power(zeta, e % (2 * d)))
+
+
+def test_zeta_shift_needs_a_cyclotomic_ring():
+    for ring in (QUAD_SQRT2, QUARTIC_THETA):
+        with pytest.raises(DomainError):
+            zeta_shift(one(ring), 1)
 
 
 # --- automorphisms --------------------------------------------------------
