@@ -35,8 +35,8 @@ from .ntheory import (
     COVERAGE,
     class_label,
     classify_prime,
-    is_prime,
     is_probable_only,
+    require_prime,
     sieve_primes,
     sqrt_mod,
 )
@@ -44,12 +44,6 @@ from .pell import solve_pell
 from .rings import element_to_json, ring_by_name
 
 _TABLE_COLUMNS = ("p", "class", "a_p", "lambda1_sq", "bound_new", "bound_minkowski", "certified")
-
-
-def _require_prime(p: int) -> int:
-    if p < 2 or not is_prime(p):
-        raise DomainError(f"{p} is not prime", payload={"error": "not_prime"})
-    return p
 
 
 def _cert_json(cert: SvpCertificate) -> dict:
@@ -63,8 +57,8 @@ def _cert_json(cert: SvpCertificate) -> dict:
 
 
 def _cmd_classify(args) -> dict:
-    p = _require_prime(args.p)
-    rc = classify_prime(p)
+    p = args.p
+    rc = classify_prime(p)  # refuses p < 2 and composites as not_prime
     if not rc.supported:
         raise DomainError(
             f"class of {p} not covered",
@@ -83,14 +77,14 @@ def _cmd_classify(args) -> dict:
 
 
 def _cmd_pell(args) -> dict:
-    p = _require_prime(args.p)
+    p = require_prime(args.p)
     sol = solve_pell(p, args.sign)
     return {"a_p" if args.sign == 1 else "a_-p": str(sol.a),
             "b_p" if args.sign == 1 else "b_-p": str(sol.b)}
 
 
 def _cmd_sqrtmod(args) -> dict:
-    p = _require_prime(args.p)
+    p = require_prime(args.p)
     r = sqrt_mod(args.a, p)
     out = {"a": str(args.a), "p": str(p)}
     if r is None:
@@ -101,21 +95,21 @@ def _cmd_sqrtmod(args) -> dict:
     return out
 
 
+# lambda1, shortest and bounds classify p first, and classify_prime is
+# their one primality test
+
+
 def _cmd_lambda1(args) -> dict:
-    p = _require_prime(args.p)
-    res = lambda1_squared(p, args.n, enumerate_fallback=args.enumerate_fallback)
+    res = lambda1_squared(args.p, args.n, enumerate_fallback=args.enumerate_fallback)
     return result_to_json(res)
 
 
 def _cmd_shortest(args) -> dict:
-    p = _require_prime(args.p)
-    cert = shortest_vector(p, args.n)
-    return _cert_json(cert)
+    return _cert_json(shortest_vector(args.p, args.n))
 
 
 def _cmd_bounds(args) -> dict:
-    p = _require_prime(args.p)
-    b = bounds(p, args.n)
+    b = bounds(args.p, args.n)
     return {
         "p": str(b.p),
         "n": str(b.n),

@@ -48,6 +48,8 @@ from .lattice import (
     enumerate_all,
     lattice_from_rows,
     lift_ideal_lattice,
+    lift_lattice_basis,
+    lll_reduce,
     max_enumeration_rank,
     prime_ideal_from_factor,
     prime_ideal_lattice,
@@ -486,14 +488,20 @@ def _lift_check(base: Callable[[], IntegerLattice], w: RingElement, sq: int,
     The squared length must scale by the degree ratio; at target rank <=
     the enumeration cap the lifted w must lie in the lifted ideal, and
     enumerating that ideal must find nothing shorter.  base is called
-    only then: above the cap its Gram matrix would go unused."""
+    only then: above the cap its Gram matrix would go unused.  The lifted
+    ideal is enumerated on the basis zeta^j * b_i lifted from the
+    LLL-reduced base (lift_lattice_basis), not on its HNF: the reduced
+    base has rank 2 or 4 in the tower, and its lift is nearly reduced,
+    while the HNF carries p on its diagonal and makes LLL start from
+    scratch at rank 2^n.  Enumeration returns the least sign-normalized
+    shortest vector whatever the basis, so the certificate is the same."""
     expected = sq * (target.degree // w.ring.degree)
     w_lift = lift_element(w, target)
     if canonical_sq_length(w_lift) != expected:
         raise ConsistencyError("lift did not scale the squared length by the degree ratio")
     if target.degree > max_enumeration_rank():
         return w_lift, expected, None
-    tower = lift_ideal_lattice(base(), target)
+    tower = lift_lattice_basis(lll_reduce(base()), target)
     if not contains(tower, w_lift):
         raise ConsistencyError("lifted witness escaped the lifted ideal")
     cert = svp_enumerate(tower, expected)

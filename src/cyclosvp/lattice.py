@@ -2,9 +2,11 @@
 
 Lattices are stored as integer coefficient rows in a ring's power basis,
 together with the exact Gram matrix under the canonical bilinear form.
-Bases are kept in Hermite normal form (lower-triangular, positive
-diagonal, entries below the diagonal reduced modulo the diagonal above
-them).  Reduction (Lagrange-Gauss, LLL at delta = 99/100) and shortest
+Lattices built from generating rows have their basis in Hermite normal
+form (lower-triangular, positive diagonal, entries below the diagonal
+reduced modulo the diagonal above them); LLL output and lifted reduced
+bases are not in HNF, and every function here accepts any full-rank
+basis.  Reduction (Lagrange-Gauss, LLL at delta = 99/100) and shortest
 vector enumeration share one fraction-free kernel: the Gram-Schmidt data
 are the integers d_i (leading Gram minors) and lambda_ij = d_{j+1} mu_ij
 (Cohen, Alg. 2.6.7), and every pruning test compares two integers.
@@ -51,7 +53,8 @@ class SvpCertificate:
 
 @dataclass(frozen=True)
 class IntegerLattice:
-    """A full-rank sublattice of a ring, basis rows in HNF.
+    """A sublattice of a ring given by basis rows: in HNF when built from
+    generating rows, any basis after lll_reduce or lift_lattice_basis.
 
     ``gram`` is the exact Gram matrix under the canonical form;
     ``ideal_meta`` records (p, r) for two-element presentations (p, th - r),
@@ -125,13 +128,12 @@ def _gram_matrix(ring: Ring, basis) -> tuple[tuple[int, ...], ...]:
     """Exact Gram matrix of ring elements under the canonical form.
 
     Equals canonical_inner on every pair, but maps each vector through
-    the ring's Gram once and fills one triangle: O(n d^2 + n^2 d), not
-    O(n^2 d^2)."""
-    g = ring.gram
-    dim = ring.degree
+    the nonzero entries of the ring's Gram once and fills one triangle:
+    O(n s d + n^2 d) with s nonzero entries per Gram row (1 in a
+    cyclotomic ring), not O(n^2 d^2)."""
     coeffs = [b.coeffs for b in basis]
     images = [
-        [sum(g[i][j] * c[j] for j in range(dim) if c[j]) for i in range(dim)]
+        [sum(v * c[j] for j, v in row) for row in ring.gram_nonzero]
         for c in coeffs
     ]
     n = len(coeffs)
@@ -221,41 +223,64 @@ def principal_ideal_lattice(ring: Ring, alpha: RingElement) -> IntegerLattice:
     return lattice_from_rows(ring, rows)
 
 
-def lift_ideal_lattice(lat: IntegerLattice, target: Ring) -> IntegerLattice:
-    """Extend an ideal lattice along the fixed ring embedding into a
-    cyclotomic target: the lattice of (ideal) * target-ring.
+def _zeta_multiples(lat: IntegerLattice, target: Ring) -> tuple[RingElement, ...]:
+    """The elements zeta^j * b_i of the cyclotomic target, for each basis
+    element b_i lifted along the fixed embedding and j < r, r the degree
+    ratio; j is the outer loop.
 
     For every source ring (cyclotomic, zsqrt2 or theta16) the target ring
-    is spanned over the source by 1, zeta, ..., zeta^(r-1), r the degree
-    ratio, because zeta's minimal polynomial over the source has degree r
-    and is monic with coefficients in the source ring.  The generating
-    rows are therefore zeta^j * b_i for each lifted basis element b_i and
-    j < r, put in HNF once.
+    is spanned over the source by 1, zeta, ..., zeta^(r-1), because
+    zeta's minimal polynomial over the source has degree r and is monic
+    with coefficients in the source ring, so these elements generate
+    (ideal) * target-ring.  From a cyclotomic source zeta^j and zeta^j'
+    are orthogonal over it for j != j', so the Gram matrix is r diagonal
+    blocks, each r times the source Gram.
     """
     source = lat.ring
-    if source is target:
-        return lat
     if target.cyclo_level is None:
         raise DomainError(f"no ideal lift from {source.name} to {target.name}")
     if target.degree < source.degree:
         raise DomainError("can only lift to a larger ring")
-    ratio = target.degree // source.degree
-    rows = []
-    for b in lat.basis:
-        lifted = lift_element(b, target)
-        rows.extend(list(zeta_shift(lifted, j).coeffs) for j in range(ratio))
+    lifted = [lift_element(b, target) for b in lat.basis]
+    return tuple(zeta_shift(x, j) for j in range(target.degree // source.degree)
+                 for x in lifted)
+
+
+def lift_ideal_lattice(lat: IntegerLattice, target: Ring) -> IntegerLattice:
+    """Extend an ideal lattice along the fixed ring embedding into a
+    cyclotomic target: the lattice of (ideal) * target-ring, in HNF.
+
+    The generating rows are _zeta_multiples(lat, target), put in HNF once.
+    """
+    if lat.ring is target:
+        return lat
+    rows = [list(x.coeffs) for x in _zeta_multiples(lat, target)]
     meta = lat.ideal_meta and (lat.ideal_meta[0], None)
     return lattice_from_rows(target, rows, ideal_meta=meta)
 
 
+def lift_lattice_basis(lat: IntegerLattice, target: Ring) -> IntegerLattice:
+    """The lattice of (ideal) * target-ring on the basis
+    _zeta_multiples(lat, target) itself, with its exact Gram matrix and
+    without HNF.  Lifting an LLL-reduced basis gives a basis with small
+    entries, which LLL and enumeration take far more cheaply than the
+    HNF, whose diagonal carries p."""
+    basis = _zeta_multiples(lat, target)
+    meta = lat.ideal_meta and (lat.ideal_meta[0], None)
+    return IntegerLattice(target, basis, _gram_matrix(target, basis), meta)
+
+
 def contains(lat: IntegerLattice, v: RingElement) -> bool:
-    """Exact membership test by back-substitution against the HNF basis."""
+    """Exact membership test by back-substitution against a
+    lower-triangular basis; any other basis is put in HNF first."""
     if v.ring is not lat.ring:
         return False
     d = lat.ring.degree
     if lat.rank != d:
         raise DomainError("membership test expects a full-rank lattice")
     rows = lat.rows()
+    if any(not row[i] or any(row[i + 1:]) for i, row in enumerate(rows)):
+        rows = hnf_rows(rows, d)
     target = list(v.coeffs)
     for i in range(d - 1, -1, -1):
         q, rem = divmod(target[i], rows[i][i])
@@ -372,15 +397,18 @@ def lll_reduce(lat: IntegerLattice, delta: Fraction = DEFAULT_DELTA) -> IntegerL
 
     The decisions are those of rational LLL (size reduction rounds half
     to even), so the result is the same basis.  Returns a new lattice
-    whose ``transform`` field records the unimodular change of basis.
-    Rank-1 input is returned unchanged.
+    whose ``transform`` field records the unimodular change of basis;
+    when no step changed the basis, that lattice keeps the input basis
+    and Gram matrix with the identity transform.  Rank-1 input is
+    returned unchanged.
     """
     n = lat.rank
     if n < 2:
         return lat
     d, lam = _integral_gso(lat.gram)
     num, den = delta.numerator, delta.denominator
-    u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    identity = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    u = [row[:] for row in identity]
 
     def size_reduce(k, l):
         dl = d[l + 1]
@@ -417,6 +445,9 @@ def lll_reduce(lat: IntegerLattice, delta: Fraction = DEFAULT_DELTA) -> IntegerL
             for l in range(k - 2, -1, -1):
                 size_reduce(k, l)
             k += 1
+    if u == identity:  # nothing to rebuild
+        return IntegerLattice(lat.ring, lat.basis, lat.gram, lat.ideal_meta,
+                              tuple(tuple(r) for r in u))
     return _apply_transform(lat, u)
 
 

@@ -56,6 +56,14 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def require_prime(p: int) -> int:
+    """p itself when it is prime; DomainError with the ``not_prime``
+    payload when p < 2 or composite."""
+    if p < 2 or not is_prime(p):
+        raise DomainError(f"{p} is not prime", payload={"error": "not_prime"})
+    return p
+
+
 def sieve_primes(limit: int) -> list[int]:
     """All primes p <= limit, by sieve of Eratosthenes."""
     if limit < 2:
@@ -244,13 +252,13 @@ def class_label(p: int) -> str:
 def classify_prime(p: int) -> ResidueClass:
     """Classify an odd prime by its residue mod 8 / mod 16.
 
-    Raises DomainError for p = 2 (ramified everywhere in the tower) and
-    for composite input.
+    Raises DomainError for p = 2 (ramified everywhere in the tower) and,
+    through require_prime, for p < 2 and composite input; this is the one
+    primality test of a classifying query.
     """
     if p == 2:
         raise DomainError("p = 2 is ramified in every ring of the tower; unsupported")
-    if not is_prime(p):
-        raise DomainError(f"{p} is not prime")
+    require_prime(p)
     label = class_label(p)
     cov = COVERAGE.get(label, Coverage(None, False))
     return ResidueClass(

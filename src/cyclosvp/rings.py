@@ -58,6 +58,7 @@ class Ring:
         "degree",
         "poly",
         "gram",
+        "gram_nonzero",
         "gram_scale",
         "cyclo_level",
         "torsion_order",
@@ -79,6 +80,10 @@ class Ring:
         self.poly = poly
         self.degree = len(poly) - 1
         self.gram = gram
+        # (column, entry) pairs of each Gram row's nonzero entries
+        self.gram_nonzero = tuple(
+            tuple((j, v) for j, v in enumerate(row) if v) for row in gram
+        )
         self.gram_scale = gram_scale
         self.cyclo_level = cyclo_level
         self.torsion_order = torsion_order

@@ -1,7 +1,9 @@
 import io
 import json
 
-from cyclosvp import cli
+import pytest
+
+from cyclosvp import cli, idealsvp, ntheory, pell
 from cyclosvp.errors import ConsistencyError
 from cyclosvp.rings import canonical_sq_length, cyclotomic, element, field_norm
 
@@ -72,6 +74,45 @@ def test_classify_supported():
 def test_classify_composite_exits_2():
     code, data = run_json("classify", "--p", "91")
     assert code == 2 and data["error"] == "not_prime"
+
+
+@pytest.mark.parametrize("command", ["classify", "lambda1", "shortest", "bounds"])
+@pytest.mark.parametrize("p", ["-7", "0", "1", "91", "561"])
+def test_non_primes_exit_2_as_not_prime(command, p):
+    assert run_cli(command, "--p", p) == (2, '{"error": "not_prime"}\n')
+
+
+def test_two_exits_2_as_ramified():
+    for command in ("classify", "lambda1", "shortest", "bounds"):
+        code, data = run_json(command, "--p", "2")
+        assert code == 2
+        assert data == {"error": "p = 2 is ramified in every ring of the tower; unsupported"}
+
+
+@pytest.mark.parametrize("argv, library", [
+    (("classify", "--p", "89"), lambda: ntheory.classify_prime(89)),
+    (("lambda1", "--p", "89", "--n", "4"), lambda: idealsvp.lambda1_squared(89, 4)),
+    (("lambda1", "--p", "13", "--n", "3"), lambda: idealsvp.lambda1_squared(13, 3)),
+    (("shortest", "--p", "71", "--n", "3"), lambda: idealsvp.shortest_vector(71, 3)),
+    (("bounds", "--p", "89", "--n", "2"), lambda: idealsvp.bounds(89, 2)),
+])
+def test_classifying_commands_add_no_primality_test(monkeypatch, argv, library):
+    """classify_prime is the one primality test of these commands: the
+    command runs is_prime as often as the library call it wraps."""
+    calls = []
+    real = ntheory.is_prime
+
+    def counting(n):
+        calls.append(n)
+        return real(n)
+
+    for module in (ntheory, idealsvp, pell, cli):
+        monkeypatch.setattr(module, "is_prime", counting, raising=False)
+    library()
+    in_library = len(calls)
+    calls.clear()
+    code, _ = run_cli(*argv)
+    assert code == 0 and len(calls) == in_library
 
 
 def test_sqrtmod_default_residue_two():

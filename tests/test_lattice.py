@@ -19,6 +19,7 @@ from cyclosvp.lattice import (
     hnf_rows,
     lattice_from_rows,
     lift_ideal_lattice,
+    lift_lattice_basis,
     lll_reduce,
     prime_ideal_from_factor,
     prime_ideal_lattice,
@@ -26,6 +27,7 @@ from cyclosvp.lattice import (
     svp_enumerate,
     svp_with_doubling,
 )
+from cyclosvp.ntheory import root_of_minus_one
 from cyclosvp.rings import (
     CYCLO_EIGHTH,
     GAUSSIAN_INT,
@@ -509,6 +511,29 @@ def test_lift_ideal_lattice_is_the_hnf_of_all_zeta_multiples(source, levels, pri
             assert lift_ideal_lattice(base, source) is base
 
 
+@pytest.mark.parametrize("source, p", [
+    (GAUSSIAN_INT, 89), (CYCLO_EIGHTH, 89), (cyclotomic(3), 97),
+])
+def test_lifted_basis_gram_is_block_diagonal(source, p):
+    """From a cyclotomic source, with j the outer loop, the Gram matrix of
+    the rows zeta^j * b_i is r diagonal blocks, each r times the source
+    Gram, and those rows span the lifted ideal."""
+    lat = prime_ideal_lattice(source, p, root_of_minus_one(p, source.cyclo_level))
+    base = lll_reduce(lat)
+    m = base.rank
+    for k in range(source.cyclo_level, 6):
+        target = cyclotomic(k)
+        r = target.degree // m
+        tower = lift_lattice_basis(base, target)
+        assert tower.rank == target.degree
+        for i in range(tower.rank):
+            for j in range(tower.rank):
+                same = i // m == j // m
+                want = r * base.gram[i % m][j % m] if same else 0
+                assert tower.gram[i][j] == want
+        assert hnf_rows(tower.rows(), target.degree) == lift_ideal_lattice(lat, target).rows()
+
+
 def test_lift_ideal_requires_larger_ring():
     lat = prime_ideal_lattice(CYCLO_EIGHTH, 89, 12)
     with pytest.raises(DomainError):
@@ -543,6 +568,48 @@ def test_gauss_reduce_gram_unimodular():
 def test_lattice_from_rows_requires_full_rank():
     with pytest.raises(DomainError):
         lattice_from_rows(QUAD_SQRT2, [[2, 0]])
+
+
+def test_contains_on_a_basis_not_in_hnf():
+    lat = prime_ideal_lattice(cyclotomic(2), 89, root_of_minus_one(89, 2))
+    red = lll_reduce(lat)
+    assert red.rows() != lat.rows()
+    assert all(contains(red, b) for b in red.basis + lat.basis)
+    assert not contains(red, integer(CYCLO_EIGHTH, 1))
+    rng = random.Random(89)
+    for _ in range(100):
+        x = [rng.randrange(-50, 51) for _ in range(4)]
+        member = element(CYCLO_EIGHTH, [sum(xi * b.coeffs[j] for xi, b in zip(x, lat.basis))
+                                        for j in range(4)])
+        assert contains(red, member)
+        # 1 is not in the ideal, so no member plus 1 is
+        outside = element(CYCLO_EIGHTH, (member.coeffs[0] + 1,) + member.coeffs[1:])
+        assert not contains(red, outside) and not contains(lat, outside)
+
+
+def test_lll_keeps_a_reduced_basis(monkeypatch):
+    red = lll_reduce(prime_ideal_lattice(cyclotomic(3), 97, root_of_minus_one(97, 3)))
+    rebuilt = []
+    real = lattice._apply_transform
+    monkeypatch.setattr(lattice, "_apply_transform",
+                        lambda *args: rebuilt.append(args) or real(*args))
+    again = lll_reduce(red)
+    assert again.basis is red.basis and again.gram is red.gram
+    assert again.transform == tuple(tuple(int(i == j) for j in range(8)) for i in range(8))
+    assert rebuilt == []
+
+
+@pytest.mark.parametrize("ring", [GAUSSIAN_INT, QUAD_SQRT2, CYCLO_EIGHTH, QUARTIC_THETA,
+                                  cyclotomic(4)])
+def test_gram_matrix_from_the_nonzero_gram_entries(ring):
+    if ring.cyclo_level is not None:
+        assert all(row == ((i, ring.degree),) for i, row in enumerate(ring.gram_nonzero))
+    rng = random.Random(ring.degree)
+    basis = [element(ring, [rng.randrange(-10**30, 10**30) for _ in range(ring.degree)])
+             for _ in range(5)]
+    assert lattice._gram_matrix(ring, basis) == tuple(
+        tuple(canonical_inner(a, b) for b in basis) for a in basis
+    )
 
 
 def test_contains_rejects_other_ring():

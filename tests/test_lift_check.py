@@ -1,0 +1,118 @@
+"""The lift check enumerates each lifted ideal on the basis lifted from
+the LLL-reduced base, zeta^j * b_i, and never LLL-reduces a rank-8 or
+rank-16 HNF whose diagonal carries p."""
+
+import pytest
+
+from cyclosvp import idealsvp, lattice
+from cyclosvp.idealsvp import lambda1_squared, lift_shortest, shortest_generator
+from cyclosvp.lattice import (
+    hnf_rows,
+    lift_ideal_lattice,
+    principal_ideal_lattice,
+    svp_enumerate,
+)
+from cyclosvp.ntheory import class_label, classify_prime
+from cyclosvp.rings import (
+    CYCLO_EIGHTH,
+    GAUSSIAN_INT,
+    QUAD_SQRT2,
+    QUARTIC_THETA,
+    canonical_inner,
+    cyclotomic,
+)
+
+
+def _roots(ring, p):
+    return [r for r in range(p)
+            if sum(c * pow(r, j, p) for j, c in enumerate(ring.poly)) % p == 0]
+
+
+def _record(monkeypatch, name, *modules):
+    """Wrap the function ``name`` in each module; returns the list of the
+    lattices it is called with."""
+    calls = []
+    real = getattr(lattice, name)
+
+    def record(lat, *args, **kwargs):
+        calls.append(lat)
+        return real(lat, *args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, record, raising=False)
+    return calls
+
+
+def _same_lattice_and_svp(tower, base, target):
+    """tower spans lift_ideal_lattice(base, target), carries its exact
+    Gram matrix, and enumeration on it finds what it finds on the HNF."""
+    hnf = lift_ideal_lattice(base, target)
+    assert tower.ring is target
+    assert hnf_rows(tower.rows(), target.degree) == hnf.rows()
+    assert tower.gram == tuple(tuple(canonical_inner(a, b) for b in tower.basis)
+                               for a in tower.basis)
+    on_hnf, on_tower = svp_enumerate(hnf), svp_enumerate(tower)
+    assert on_tower.vector.coeffs == on_hnf.vector.coeffs
+    assert on_tower.sq_length == on_hnf.sq_length
+    return on_tower
+
+
+@pytest.mark.parametrize("source, primes", [
+    (GAUSSIAN_INT, (5, 13, 89)),
+    (QUAD_SQRT2, (7, 17, 89)),
+    (CYCLO_EIGHTH, (17, 41, 89)),
+    (QUARTIC_THETA, (7, 71, 97)),
+])
+def test_lift_shortest_enumerates_a_basis_of_the_lifted_ideal(monkeypatch, source, primes):
+    enumerated = _record(monkeypatch, "svp_enumerate", idealsvp)
+    for p in primes:
+        for r in _roots(source, p)[:2]:
+            cert = shortest_generator(p, source, r)
+            base = principal_ideal_lattice(source, cert.vector)
+            for k in range(1, 5):
+                target = cyclotomic(k)
+                if target.degree <= source.degree:
+                    continue
+                enumerated.clear()
+                lifted = lift_shortest(cert, k)
+                assert lifted.cross_checked and len(enumerated) == 1
+                found = _same_lattice_and_svp(enumerated[0], base, target)
+                assert found.sq_length == lifted.sq_length
+
+
+@pytest.mark.parametrize("p", [13, 11, 89, 71])  # 5, 3 (mod 8); 9, 7 (mod 16)
+def test_certify_enumerates_a_basis_of_the_lifted_base_ideal(monkeypatch, p):
+    rc = classify_prime(p)
+    enumerated = _record(monkeypatch, "svp_enumerate", idealsvp)
+    for n in range(1, 5):
+        if n < rc.min_level and rc.level1_note is None:
+            continue
+        base = idealsvp._base_witness(p, rc.label, n, None)[0]
+        enumerated.clear()
+        res = lambda1_squared(p, n)
+        assert res.witness.cross_checked
+        found = _same_lattice_and_svp(enumerated[-1], base, cyclotomic(n))
+        assert found.vector.coeffs == res.witness.vector.coeffs
+        assert found.sq_length == res.lambda1_sq
+
+
+BIG = 10**199
+BIG_PRIME = {  # the least 200-digit prime above 10^199 in each covered class
+    "9mod16": BIG + 153,
+    "3mod8": BIG + 1867,
+    "5mod8": BIG + 2229,
+    "7mod16": BIG + 4983,
+}
+
+
+@pytest.mark.parametrize("label", sorted(BIG_PRIME))
+def test_no_lll_call_starts_from_a_rank_8_or_16_hnf(monkeypatch, label):
+    p = BIG_PRIME[label]
+    assert class_label(p) == label and len(str(p)) == 200
+    reduced = _record(monkeypatch, "lll_reduce", lattice, idealsvp)
+    res = lambda1_squared(p, 4)
+    assert res.witness.cross_checked
+    large = [lat for lat in reduced if lat.rank >= 8]
+    assert large  # the rank-16 lift is still reduced and enumerated
+    for lat in large:
+        assert lat.rows() != hnf_rows(lat.rows(), lat.ring.degree)

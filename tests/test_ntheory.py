@@ -5,6 +5,7 @@ from cyclosvp.ntheory import (
     classify_prime,
     is_prime,
     legendre,
+    require_prime,
     root_of_minus_one,
     sieve_primes,
     sqrt_mod,
@@ -106,6 +107,18 @@ def test_classify_rejects_two_and_composites():
         classify_prime(2)
     with pytest.raises(DomainError):
         classify_prime(91)
+
+
+def test_non_primes_carry_the_not_prime_payload():
+    assert require_prime(89) == 89
+    for n in (-7, 0, 1, 91, 561):
+        with pytest.raises(DomainError) as exc:
+            require_prime(n)
+        assert exc.value.payload == {"error": "not_prime"}
+    for n in (1, 91):
+        with pytest.raises(DomainError) as exc:
+            classify_prime(n)
+        assert exc.value.payload == {"error": "not_prime"}
 
 
 def test_supported_iff_class_exhaustive():
