@@ -36,7 +36,6 @@ from .ntheory import (
     class_label,
     classify_prime,
     is_probable_only,
-    require_prime,
     sieve_primes,
     sqrt_mod,
 )
@@ -54,6 +53,11 @@ def _cert_json(cert: SvpCertificate) -> dict:
         "method": cert.method,
         "certified": cert.cross_checked,
     }
+
+
+# each command's library call is its one primality test: classify_prime
+# for classify, lambda1, shortest and bounds, and require_prime inside
+# solve_pell and sqrt_mod for pell and sqrtmod
 
 
 def _cmd_classify(args) -> dict:
@@ -77,26 +81,20 @@ def _cmd_classify(args) -> dict:
 
 
 def _cmd_pell(args) -> dict:
-    p = require_prime(args.p)
-    sol = solve_pell(p, args.sign)
+    sol = solve_pell(args.p, args.sign)
     return {"a_p" if args.sign == 1 else "a_-p": str(sol.a),
             "b_p" if args.sign == 1 else "b_-p": str(sol.b)}
 
 
 def _cmd_sqrtmod(args) -> dict:
-    p = require_prime(args.p)
-    r = sqrt_mod(args.a, p)
-    out = {"a": str(args.a), "p": str(p)}
+    r = sqrt_mod(args.a, args.p)
+    out = {"a": str(args.a), "p": str(args.p)}
     if r is None:
         out["root"] = None
         out["nonresidue"] = True
     else:
         out["root"] = str(r)
     return out
-
-
-# lambda1, shortest and bounds classify p first, and classify_prime is
-# their one primality test
 
 
 def _cmd_lambda1(args) -> dict:

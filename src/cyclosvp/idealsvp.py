@@ -16,6 +16,12 @@ power of the covolume bound 2^n * p^(1/4)).
 Which classes are covered, from which level and whether through a_p is
 read from the one class table, ``ntheory.COVERAGE``; each query classifies
 p once (in _require_covered) and solves the Pell equation at most once.
+``classify_prime`` is the query's trust boundary and its one primality
+test: every square root the tower then needs (sqrt(-1), sqrt(-2), sqrt(2)
+and the theta16 roots) comes from ``ntheory.class_sqrt``, and Cornacchia
+and Pell run on it through their trusting cores ``cornacchia_descent`` and
+``pell_from_root``.  The public ``cornacchia``, ``theta_roots`` and
+``solve_pell`` keep validating their input.
 
 In Z[i], Z[sqrt2], Z[zeta8] and Z[zeta16+zeta16^7] every ideal has a
 generator realizing the shortest vector, so shortest-vector search
@@ -58,13 +64,14 @@ from .lattice import (
 )
 from .ntheory import (
     ResidueClass,
+    class_sqrt,
     classify_prime,
     is_prime,
     root_of_minus_one,
     sieve_primes,
     sqrt_mod,
 )
-from .pell import PellSolution, solve_pell
+from .pell import PellSolution, pell_from_root, solve_pell
 from .rings import (
     CYCLO_EIGHTH,
     GAUSSIAN_INT,
@@ -138,6 +145,12 @@ def cornacchia(p: int, d: int) -> tuple[int, int]:
         raise DomainError(f"{p} != 1, 3 (mod 8): no representation a^2 + 2 b^2")
     r = sqrt_mod(p - d % p, p)
     assert r is not None
+    return cornacchia_descent(p, d, r)
+
+
+def cornacchia_descent(p: int, d: int, r: int) -> tuple[int, int]:
+    """The descent of ``cornacchia`` from r, a square root of -d mod p.
+    Trusts that p is an odd prime of the right class for d."""
     x0 = max(r, p - r)
     a, b = p, x0
     lim = isqrt(p)
@@ -155,12 +168,18 @@ def cornacchia(p: int, d: int) -> tuple[int, int]:
 def theta_roots(p: int) -> list[int]:
     """Roots of x^4 + 4x^2 + 2 mod p (sorted).  Nonempty iff p = 1, 7
     (mod 16), where the quartic splits completely."""
-    s = sqrt_mod(2, p) if p % 8 in (1, 7) else None
+    return _theta_roots(p, sqrt_mod)
+
+
+def _theta_roots(p: int, sqrt: Callable[[int, int], int | None]) -> list[int]:
+    """theta_roots with the square roots taken by sqrt: x^2 = -2 +- sqrt2.
+    The tower passes class_sqrt, which covers p = 7 (mod 16)."""
+    s = sqrt(2, p) if p % 8 in (1, 7) else None
     if s is None:
         return []
     roots = []
     for y in ((s - 2) % p, (-s - 2) % p):
-        r = sqrt_mod(y, p)
+        r = sqrt(y, p)
         if r is not None:
             roots.extend((r, p - r))
     return sorted(roots)
@@ -414,7 +433,7 @@ def _base_witness(p: int, label: str, n: int, root_hint: int | None):
     ring of the tower that contains the shortest vector.  For p = 7, 9
     (mod 16) base_sq comes from enumeration; the caller checks it is 4 a_p."""
     if label == "5mod8" or (label == "9mod16" and n == 1):
-        a, b = cornacchia(p, 1)
+        a, b = cornacchia_descent(p, 1, class_sqrt(-1, p))
         r0 = (-a * pow(b, -1, p)) % p
         if root_hint is not None and root_hint % p not in (r0, p - r0):
             raise DomainError(f"{root_hint} is not a square root of -1 mod {p}")
@@ -433,7 +452,7 @@ def _base_witness(p: int, label: str, n: int, root_hint: int | None):
             return lat, w, 2 * p * p, "analytic-formula"
         if root_hint is not None:
             raise DomainError("p = 3 (mod 8): the base ideal has no degree-1 root")
-        a, b = cornacchia(p, 2)
+        a, b = cornacchia_descent(p, 2, class_sqrt(-2, p))
         w = element(CYCLO_EIGHTH, (a, b, 0, b))  # a + b*sqrt(-2)
         lat = principal_ideal_lattice(CYCLO_EIGHTH, w)
         return lat, w, 4 * p, "analytic-formula"
@@ -442,7 +461,7 @@ def _base_witness(p: int, label: str, n: int, root_hint: int | None):
         r = root_hint if root_hint is not None else root_of_minus_one(p, 2)
     elif label == "7mod16":
         ring = QUARTIC_THETA
-        roots = theta_roots(p) if root_hint is None else [root_hint]
+        roots = _theta_roots(p, class_sqrt) if root_hint is None else [root_hint]
         if not roots:
             raise ConsistencyError(f"theta quartic has no roots mod {p}")
         r = roots[0]
@@ -475,8 +494,10 @@ def _require_covered(p: int, n: int, enumerate_fallback: bool = False) -> Residu
 
 
 def _pell_if_solvable(p: int) -> PellSolution | None:
-    """solve_pell(p) where a^2 - 2b^2 = p is solvable, i.e. p = +-1 (mod 8)."""
-    return solve_pell(p) if p % 8 in (1, 7) else None
+    """The solution of a^2 - 2b^2 = p where it exists, i.e. p = +-1 (mod 8),
+    for a p that classify_prime accepted: the root of 2 comes from the
+    class and no primality test runs."""
+    return pell_from_root(p, class_sqrt(2, p)) if p % 8 in (1, 7) else None
 
 
 def _lift_check(base: Callable[[], IntegerLattice], w: RingElement, sq: int,
@@ -645,7 +666,7 @@ def bounds(p: int, n: int) -> BoundsResult:
         )
     if n < rc.min_level:
         raise DomainError(f"class {rc.label} needs level n >= {rc.min_level}, got {n}")
-    a_p = solve_pell(p).a
+    a_p = _pell_if_solvable(p).a
     lam = (1 << n) * a_p
     new_rad = (1 << (2 * n + 1)) * p
     mink_rad = (1 << (4 * n)) * p
@@ -688,7 +709,7 @@ def zeta16_lift_check(p: int) -> LiftCheckReport:
     if p % 16 != 7:
         raise DomainError(f"p must be 7 (mod 16), got {p} = {p % 16} (mod 16)")
     classify_prime(p)
-    roots = theta_roots(p)
+    roots = _theta_roots(p, class_sqrt)
     base = prime_ideal_lattice(QUARTIC_THETA, p, roots[0])
     sub = svp_enumerate(base, _generator_bound_sq(QUARTIC_THETA, p))
     ext_lat = lift_ideal_lattice(base, cyclotomic(3))
@@ -701,7 +722,7 @@ def zeta16_lift_check(p: int) -> LiftCheckReport:
         p,
         sub.sq_length,
         ext.sq_length,
-        4 * solve_pell(p).a,
+        4 * _pell_if_solvable(p).a,
         ext.sq_length == 2 * sub.sq_length,
         attains,
     )
@@ -735,7 +756,7 @@ def _degree2_prime_lattice(p: int, n: int) -> IntegerLattice:
     d = ring.degree
     order = 2 * d
     q = 2
-    while sqrt_mod(q, p) is not None:
+    while pow(q, (p - 1) // 2, p) != p - 1:  # Euler's criterion: q a non-residue
         q += 1
     g0 = 1
     beta = None

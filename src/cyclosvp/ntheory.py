@@ -4,6 +4,12 @@ mod p, roots of unity mod p, and residue-class data for odd primes.
 Everything here is exact integer arithmetic.  ``is_prime`` is deterministic
 below 2**64 (fixed Miller-Rabin witness set) and a strong probable-prime
 test above; ``is_probable_only`` tells callers which regime applies.
+
+The trust boundary of a tower query is ``classify_prime``: it tests p once
+(through ``require_prime``), and from then on the tower takes every square
+root it needs from the residue class of p with ``class_sqrt``, one modular
+power and no further primality test.  ``legendre`` and ``sqrt_mod`` stay
+validating: they serve callers that hand in an untested modulus.
 """
 
 from __future__ import annotations
@@ -96,8 +102,9 @@ def sqrt_mod(a: int, p: int) -> int | None:
     used; p = 3 (mod 4) uses the standard exponent shortcut; the remaining
     case is Tonelli-Shanks.
     """
-    if p == 2 or not is_prime(p):
+    if p == 2:
         raise DomainError(f"sqrt_mod needs an odd prime modulus, got {p}")
+    require_prime(p)
     a %= p
     if a == 0:
         raise DomainError("sqrt_mod requires gcd(a, p) = 1")
@@ -142,19 +149,57 @@ def root_of_minus_one(p: int, k: int) -> int:
 
     Such r exists iff 2**(k+1) divides p - 1.  The full set of roots is
     the set of elements of exact order 2**(k+1); the minimum is returned
-    for reproducibility.
+    for reproducibility.  Raises DomainError when p is shown composite on
+    the way: r**(2**k) = g**((p-1)/2) must be +-1 mod a prime (Euler's
+    criterion).
     """
     order = 1 << (k + 1)
     if (p - 1) % order != 0:
         raise DomainError(f"x^{1 << k} = -1 has no root mod {p}")
-    g = 2
-    while True:
+    for g in range(2, p):
         r = pow(g, (p - 1) // order, p)
-        if pow(r, order // 2, p) == p - 1:
+        t = pow(r, order // 2, p)
+        if t == p - 1:
             break
-        g += 1
+        if t != 1:
+            raise DomainError(f"{p} is not prime: {g}^(({p}-1)/2) is not +-1 mod {p}")
+    else:
+        raise DomainError(f"x^{1 << k} = -1 has no root mod {p}")
     best = min(pow(r, j, p) for j in range(1, order, 2))
     return best
+
+
+def class_sqrt(a: int, p: int) -> int | None:
+    """Canonical square root min(r, p - r) of ``a`` mod a prime p that the
+    caller has already tested, from the roots the class of p supplies.
+
+    - p = 3 (mod 4): r = a**((p+1)/4), kept only when it squares back to
+      a (which replaces Euler's criterion); None marks a non-residue.
+    - p = 5 (mod 8): only sqrt(-1) = 2**((p-1)/4), since 2 is a non-residue.
+    - p = 1 (mod 8): only sqrt(2) = rho - rho**3 and sqrt(-1) = rho**2,
+      with rho = root_of_minus_one(p, 2) the image of zeta8.
+
+    These are the roots the tower's witnesses are built from; every other
+    (a, class) pair raises DomainError.  Each root equals ``sqrt_mod(a, p)``.
+    No primality test runs: after ``classify_prime`` this is the tower's
+    only square-root path.  ``sqrt_mod``, ``legendre`` and ``solve_pell``
+    keep their own checks, internal re-tests included: they are the
+    validating path for callers that pass an untested modulus, such as
+    the ``pell`` and ``sqrtmod`` commands.
+    """
+    a %= p
+    if p % 4 == 3:
+        r = pow(a, (p + 1) // 4, p)
+        if r * r % p != a:
+            return None
+    elif p % 8 == 5 and a == p - 1:
+        r = pow(2, (p - 1) // 4, p)
+    elif p % 8 == 1 and a in (2, p - 1):
+        rho = root_of_minus_one(p, 2)
+        r = (rho - pow(rho, 3, p)) % p if a == 2 else rho * rho % p
+    else:
+        raise DomainError(f"no class root of {a} mod {p}")
+    return min(r, p - r)
 
 
 @dataclass(frozen=True)

@@ -6,10 +6,14 @@
     a_p < sqrt(2p),   a_p >= 2 b_p,
     a_{-p} = a_p - 2 b_p,   b_{-p} = a_p - b_p.
 
-``solve_pell`` runs the two-dimensional lattice route: reduce the Gram
-matrix of the rows (p, p) and (r + sqrt2, r - sqrt2) with r^2 = 2 (mod p),
-read off the shortest vector u + v*sqrt2, and branch on u^2 - 2v^2 = +-p.
-``pell_oracle`` is an independent exhaustive scan used to cross-verify it.
+``pell_from_root`` runs the two-dimensional lattice route: reduce the
+Gram matrix of the rows (p, p) and (r + sqrt2, r - sqrt2) with
+r^2 = 2 (mod p), read off the shortest vector u + v*sqrt2, and branch on
+u^2 - 2v^2 = +-p.  It trusts p and r.  ``solve_pell`` is the validating
+entry point: it tests p and takes r from ``sqrt_mod``.  The tower has
+tested p once in ``classify_prime`` and calls ``pell_from_root`` with the
+root ``class_sqrt`` gives.  ``pell_oracle`` is an independent exhaustive
+scan used to cross-verify it.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from math import isqrt
 
 from .errors import ConsistencyError, DomainError
 from .lattice import gauss_reduce_gram
-from .ntheory import is_prime, sqrt_mod
+from .ntheory import require_prime, sqrt_mod
 
 
 @dataclass(frozen=True)
@@ -48,8 +52,7 @@ def _validate(p: int, sign: int) -> None:
         raise DomainError(f"sign must be +1 or -1, got {sign}")
     if p == 2:
         raise DomainError("p = 2 is ramified; a^2 - 2b^2 = +-2 has no prime solution here")
-    if not is_prime(p):
-        raise DomainError(f"{p} is not prime")
+    require_prime(p)
     if p % 8 not in (1, 7):
         raise DomainError(
             f"a^2 - 2b^2 = +-{p} is unsolvable: 2 is a non-residue mod {p}",
@@ -69,6 +72,13 @@ def solve_pell(p: int, sign: int = 1) -> PellSolution:
         return PellSolution(p, -1, plus.a - 2 * plus.b, plus.a - plus.b)
     r = sqrt_mod(2, p)
     assert r is not None
+    return pell_from_root(p, r)
+
+
+def pell_from_root(p: int, r: int) -> PellSolution:
+    """Fundamental solution of a^2 - 2b^2 = +p from a square root r of 2
+    mod p, by Gauss reduction of a rank-2 lattice.  Trusts that p is a
+    prime = +-1 (mod 8) and that r^2 = 2 (mod p)."""
     gram = (
         (2 * p * p, 2 * p * r),
         (2 * p * r, 2 * r * r + 4),
