@@ -33,9 +33,11 @@ the tower that sees them and lifted: the shortest vector of an ideal is
 still shortest after extension to any higher level, with the squared
 length scaling by the degree ratio.
 
-Every certificate at rank <= 16 is confirmed by independent Schnorr-Euchner
-enumeration; a formula/enumeration mismatch raises ConsistencyError and
-is never silently resolved.
+At every level the witness is checked to lie in its base ideal, by
+back-substitution against the base HNF (the lift is the inclusion, so
+this covers the lifted ideal), and every certificate at rank <= 16 is
+confirmed by independent Schnorr-Euchner enumeration; a mismatch raises
+ConsistencyError and is never silently resolved.
 """
 
 from __future__ import annotations
@@ -67,6 +69,7 @@ from .ntheory import (
     class_sqrt,
     classify_prime,
     is_prime,
+    _zeta8_root,
     root_of_minus_one,
     sieve_primes,
     sqrt_mod,
@@ -410,9 +413,11 @@ class SvsgReport:
 def svsg_verify(ring: Ring, norm_bound: int) -> SvsgReport:
     """Check shortest vector == shortest generator on every prime ideal of
     norm <= norm_bound.  Returns a per-ideal report; a nonzero mismatch
-    list means failure."""
+    list means failure; a bound below 2, which holds no ideal, is refused."""
     if ring not in SVSG_RINGS:
         raise DomainError(f"{ring.name} is not one of the generator-search rings")
+    if norm_bound < 2:
+        raise DomainError(f"norm bound must be at least 2, got {norm_bound}")
     entries = []
     for lat, norm, desc in prime_ideals_up_to_norm(ring, norm_bound):
         p = lat.ideal_meta[0] if lat.ideal_meta else norm
@@ -429,9 +434,9 @@ def svsg_verify(ring: Ring, norm_bound: int) -> SvsgReport:
 
 
 def _base_witness(p: int, label: str, n: int, root_hint: int | None):
-    """Construct (base_lattice, witness, base_sq, method) in the smallest
-    ring of the tower that contains the shortest vector.  For p = 7, 9
-    (mod 16) base_sq comes from enumeration; the caller checks it is 4 a_p."""
+    """(base HNF lattice, witness, base_sq, method) in the smallest ring of
+    the tower that contains the shortest vector.  For p = 7, 9 (mod 16)
+    witness and base_sq are None: _certify enumerates the reduced base."""
     if label == "5mod8" or (label == "9mod16" and n == 1):
         a, b = cornacchia_descent(p, 1, class_sqrt(-1, p))
         r0 = (-a * pow(b, -1, p)) % p
@@ -458,7 +463,7 @@ def _base_witness(p: int, label: str, n: int, root_hint: int | None):
         return lat, w, 4 * p, "analytic-formula"
     if label == "9mod16":
         ring = CYCLO_EIGHTH
-        r = root_hint if root_hint is not None else root_of_minus_one(p, 2)
+        r = root_hint if root_hint is not None else _zeta8_root(p)
     elif label == "7mod16":
         ring = QUARTIC_THETA
         roots = _theta_roots(p, class_sqrt) if root_hint is None else [root_hint]
@@ -467,9 +472,7 @@ def _base_witness(p: int, label: str, n: int, root_hint: int | None):
         r = roots[0]
     else:
         raise DomainError(f"no witness construction for class {label}")
-    lat = prime_ideal_lattice(ring, p, r)
-    cert = svp_enumerate(lat)
-    return lat, cert.vector, cert.sq_length, "enumeration"
+    return prime_ideal_lattice(ring, p, r), None, None, "enumeration"
 
 
 def _require_covered(p: int, n: int, enumerate_fallback: bool = False) -> ResidueClass:
@@ -506,16 +509,17 @@ def _lift_check(base: Callable[[], IntegerLattice], w: RingElement, sq: int,
     base(), to the target ring.  Returns (lifted w, lifted squared length,
     certificate of the re-enumeration or None).
 
+    The caller has shown that w lies in base(); the lift is the inclusion
+    and I * O_L meets O_K in I, so the lifted w lies in the lifted ideal.
     The squared length must scale by the degree ratio; at target rank <=
-    the enumeration cap the lifted w must lie in the lifted ideal, and
-    enumerating that ideal must find nothing shorter.  base is called
-    only then: above the cap its Gram matrix would go unused.  The lifted
-    ideal is enumerated on the basis zeta^j * b_i lifted from the
-    LLL-reduced base (lift_lattice_basis), not on its HNF: the reduced
-    base has rank 2 or 4 in the tower, and its lift is nearly reduced,
-    while the HNF carries p on its diagonal and makes LLL start from
-    scratch at rank 2^n.  Enumeration returns the least sign-normalized
-    shortest vector whatever the basis, so the certificate is the same."""
+    the enumeration cap enumerating the lifted ideal must find nothing
+    shorter.  base is called only then.  The lifted ideal is enumerated
+    on the basis zeta^j * b_i lifted from the LLL-reduced base
+    (lift_lattice_basis), not on its HNF: the reduced base has rank 2 or
+    4 in the tower, and its lift is nearly reduced, while the HNF carries
+    p on its diagonal and makes LLL start from scratch at rank 2^n.
+    Enumeration returns the least sign-normalized shortest vector
+    whatever the basis, so the certificate is the same."""
     expected = sq * (target.degree // w.ring.degree)
     w_lift = lift_element(w, target)
     if canonical_sq_length(w_lift) != expected:
@@ -523,8 +527,6 @@ def _lift_check(base: Callable[[], IntegerLattice], w: RingElement, sq: int,
     if target.degree > max_enumeration_rank():
         return w_lift, expected, None
     tower = lift_lattice_basis(lll_reduce(base()), target)
-    if not contains(tower, w_lift):
-        raise ConsistencyError("lifted witness escaped the lifted ideal")
     cert = svp_enumerate(tower, expected)
     if cert.sq_length != expected:
         raise ConsistencyError(
@@ -536,13 +538,21 @@ def _lift_check(base: Callable[[], IntegerLattice], w: RingElement, sq: int,
 def _certify(rc: ResidueClass, n: int, root_hint: int | None,
              pell: PellSolution | None) -> SvpCertificate:
     """shortest_vector for a (p, n) that _require_covered accepted, with
-    pell = _pell_if_solvable(p)."""
+    pell = _pell_if_solvable(p).  A 7, 9 (mod 16) base is LLL-reduced once,
+    for its own enumeration and for the lift check."""
     base_lat, w, base_sq, method = _base_witness(rc.p, rc.label, n, root_hint)
-    if method == "enumeration" and base_sq != 4 * pell.a:
-        raise ConsistencyError(
-            f"enumeration found {base_sq} != 4 a_p = {4 * pell.a} for p={rc.p}"
-        )
-    w_lift, expected, cert = _lift_check(lambda: base_lat, w, base_sq, cyclotomic(n))
+    base = base_lat
+    if w is None:
+        base = lll_reduce(base_lat)
+        found = svp_enumerate(base)
+        w, base_sq = found.vector, found.sq_length
+        if base_sq != 4 * pell.a:
+            raise ConsistencyError(
+                f"enumeration found {base_sq} != 4 a_p = {4 * pell.a} for p={rc.p}"
+            )
+    if not contains(base_lat, w):
+        raise ConsistencyError(f"witness lies outside the base ideal over p={rc.p}")
+    w_lift, expected, cert = _lift_check(lambda: base, w, base_sq, cyclotomic(n))
     if cert is None:
         return SvpCertificate(canonical_torsion_rep(w_lift), expected, method, False)
     return SvpCertificate(cert.vector, expected, method, True)

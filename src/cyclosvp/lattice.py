@@ -12,7 +12,8 @@ are the integers d_i (leading Gram minors) and lambda_ij = d_{j+1} mu_ij
 (Cohen, Alg. 2.6.7), and every pruning test compares two integers.
 Enumeration visits each level zig-zag from its centre and shrinks the
 radius to the best length found (Schnorr-Euchner), so every certificate
-is unconditional and no float touches a decision.
+is unconditional and no float touches a decision.  enumerate_all and
+svp_enumerate share one search, _short_vectors, at every rank.
 """
 
 from __future__ import annotations
@@ -248,10 +249,9 @@ def _zeta_multiples(lat: IntegerLattice, target: Ring) -> tuple[RingElement, ...
 
 def lift_ideal_lattice(lat: IntegerLattice, target: Ring) -> IntegerLattice:
     """Extend an ideal lattice along the fixed ring embedding into a
-    cyclotomic target: the lattice of (ideal) * target-ring, in HNF.
-
-    The generating rows are _zeta_multiples(lat, target), put in HNF once.
-    """
+    cyclotomic target: the lattice of (ideal) * target-ring, in HNF
+    (_zeta_multiples(lat, target) put in HNF once).  A lat already in
+    the target ring is returned unchanged, on whatever basis it has."""
     if lat.ring is target:
         return lat
     rows = [list(x.coeffs) for x in _zeta_multiples(lat, target)]
@@ -451,7 +451,7 @@ def lll_reduce(lat: IntegerLattice, delta: Fraction = DEFAULT_DELTA) -> IntegerL
     return _apply_transform(lat, u)
 
 
-def _enum_coords(gram, radius_sq: int, shrink: bool = False):
+def _enum_coords(gram, radius_sq: int, shrink: bool):
     """Yield (sq_length, coords) for nonzero vectors with x G x^T <= radius.
 
     One representative per +/- pair: the highest-index nonzero coordinate
@@ -522,42 +522,38 @@ def _coords_to_row(coords, rows, d):
     return out
 
 
-def _scaled_gram(lat: IntegerLattice):
-    """Divide out the ring's common Gram factor to keep numbers small."""
-    s = lat.ring.gram_scale
-    return tuple(tuple(v // s for v in row) for row in lat.gram), s
+def _short_vectors(lat: IntegerLattice, radius_sq: int | None, shrink: bool):
+    """Yield (sq_length, row) for the nonzero vectors of ``lat`` with
+    squared canonical length <= radius_sq, one per +/- pair, each row
+    sign-normalized.  Checks the rank cap and searches the LLL-reduced
+    basis with the ring's common Gram factor divided out.  With ``shrink``
+    the radius starts no higher than the shortest reduced basis vector
+    (there when radius_sq is None) and drops to each yielded length."""
+    if lat.rank > max_enumeration_rank():
+        raise DomainError(
+            f"rank {lat.rank} exceeds enumeration cap {max_enumeration_rank()}"
+        )
+    red = lll_reduce(lat)
+    rows = red.rows()
+    scale = lat.ring.gram_scale
+    gram = tuple(tuple(v // scale for v in row) for row in red.gram)
+    radius = None if radius_sq is None else radius_sq // scale
+    if shrink:
+        least = min(gram[i][i] for i in range(red.rank))
+        radius = least if radius is None else min(radius, least)
+    for sq, coords in _enum_coords(gram, radius, shrink):
+        yield sq * scale, canonical_coeffs(_coords_to_row(coords, rows, lat.ring.degree))
 
 
 def enumerate_all(lat: IntegerLattice, radius_sq: int) -> list[tuple[RingElement, int]]:
     """All nonzero vectors with squared canonical length <= radius_sq,
     one per +/- pair, sign-normalized, sorted by (length, coefficients)."""
-    if lat.rank > max_enumeration_rank():
-        raise DomainError(
-            f"rank {lat.rank} exceeds enumeration cap {max_enumeration_rank()}"
-        )
-    d = lat.ring.degree
-    if lat.rank == 1:
-        g = lat.gram[0][0]
-        out = []
-        k = 1
-        while k * k * g <= radius_sq:
-            row = canonical_coeffs([k * c for c in lat.basis[0].coeffs])
-            out.append((element(lat.ring, row), k * k * g))
-            k += 1
-        return out
-    red = lll_reduce(lat)
-    rows = red.rows()
-    gram, scale = _scaled_gram(red)
-    found = []
-    for sq, coords in _enum_coords(gram, radius_sq // scale):
-        row = canonical_coeffs(_coords_to_row(coords, rows, d))
-        found.append((sq * scale, row))
-    found.sort()
-    return [(element(lat.ring, row), sq) for sq, row in found]
+    return [(element(lat.ring, row), sq)
+            for sq, row in sorted(_short_vectors(lat, radius_sq, shrink=False))]
 
 
 def svp_enumerate(lat: IntegerLattice, radius_sq: int | None = None) -> SvpCertificate:
-    """Exact shortest vector by Schnorr-Euchner enumeration.
+    """Exact shortest vector: the least (length, row) of _short_vectors.
 
     The search radius starts at the shortest vector of the LLL-reduced
     basis, or at ``radius_sq`` when that is smaller, and drops to the
@@ -568,32 +564,10 @@ def svp_enumerate(lat: IntegerLattice, radius_sq: int | None = None) -> SvpCerti
     """
     if radius_sq is not None and radius_sq <= 0:
         raise DomainError("radius_sq must be positive")
-    if lat.rank > max_enumeration_rank():
-        raise DomainError(
-            f"rank {lat.rank} exceeds enumeration cap {max_enumeration_rank()}"
-        )
-    d = lat.ring.degree
-    if lat.rank == 1:
-        g = lat.gram[0][0]
-        if radius_sq is not None and g > radius_sq:
-            raise RadiusExhausted(f"no vector with squared length <= {radius_sq}")
-        vec = element(lat.ring, canonical_coeffs(lat.basis[0].coeffs))
-        return SvpCertificate(vec, g, "enumeration", False)
-    red = lll_reduce(lat)
-    rows = red.rows()
-    gram, scale = _scaled_gram(red)
-    radius = min(gram[i][i] for i in range(red.rank))
-    if radius_sq is not None:
-        radius = min(radius, radius_sq // scale)
-    best_sq = None
-    best_row = None
-    for sq, coords in _enum_coords(gram, radius, shrink=True):
-        row = canonical_coeffs(_coords_to_row(coords, rows, d))
-        if best_sq is None or sq < best_sq or row < best_row:
-            best_sq, best_row = sq, row
-    if best_sq is None:
+    best = min(_short_vectors(lat, radius_sq, shrink=True), default=None)
+    if best is None:
         raise RadiusExhausted(f"no vector with squared length <= {radius_sq}")
-    return SvpCertificate(element(lat.ring, best_row), best_sq * scale, "enumeration", False)
+    return SvpCertificate(element(lat.ring, best[1]), best[0], "enumeration", False)
 
 
 def svp_with_doubling(lat: IntegerLattice, radius_sq: int, retries: int = 4) -> SvpCertificate:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import DomainError
@@ -149,14 +150,15 @@ def root_of_minus_one(p: int, k: int) -> int:
 
     Such r exists iff 2**(k+1) divides p - 1.  The full set of roots is
     the set of elements of exact order 2**(k+1); the minimum is returned
-    for reproducibility.  Raises DomainError when p is shown composite on
-    the way: r**(2**k) = g**((p-1)/2) must be +-1 mod a prime (Euler's
-    criterion).
+    for reproducibility, whichever g finds them (for k >= 2, 2 is a square
+    mod p = 1 (mod 8), so g starts at 3).  Raises DomainError when p is
+    shown composite on the way: r**(2**k) = g**((p-1)/2) must be +-1 mod a
+    prime (Euler's criterion).
     """
     order = 1 << (k + 1)
     if (p - 1) % order != 0:
         raise DomainError(f"x^{1 << k} = -1 has no root mod {p}")
-    for g in range(2, p):
+    for g in range(3 if k >= 2 else 2, p):
         r = pow(g, (p - 1) // order, p)
         t = pow(r, order // 2, p)
         if t == p - 1:
@@ -169,6 +171,13 @@ def root_of_minus_one(p: int, k: int) -> int:
     return best
 
 
+@lru_cache(maxsize=1)
+def _zeta8_root(p: int) -> int:
+    """root_of_minus_one(p, 2), kept for the last p: a 9 (mod 16) query
+    needs it for the zeta8 ideal and for sqrt(2) in class_sqrt."""
+    return root_of_minus_one(p, 2)
+
+
 def class_sqrt(a: int, p: int) -> int | None:
     """Canonical square root min(r, p - r) of ``a`` mod a prime p that the
     caller has already tested, from the roots the class of p supplies.
@@ -177,7 +186,7 @@ def class_sqrt(a: int, p: int) -> int | None:
       a (which replaces Euler's criterion); None marks a non-residue.
     - p = 5 (mod 8): only sqrt(-1) = 2**((p-1)/4), since 2 is a non-residue.
     - p = 1 (mod 8): only sqrt(2) = rho - rho**3 and sqrt(-1) = rho**2,
-      with rho = root_of_minus_one(p, 2) the image of zeta8.
+      with rho = _zeta8_root(p) the image of zeta8.
 
     These are the roots the tower's witnesses are built from; every other
     (a, class) pair raises DomainError.  Each root equals ``sqrt_mod(a, p)``.
@@ -195,7 +204,7 @@ def class_sqrt(a: int, p: int) -> int | None:
     elif p % 8 == 5 and a == p - 1:
         r = pow(2, (p - 1) // 4, p)
     elif p % 8 == 1 and a in (2, p - 1):
-        rho = root_of_minus_one(p, 2)
+        rho = _zeta8_root(p)
         r = (rho - pow(rho, 3, p)) % p if a == 2 else rho * rho % p
     else:
         raise DomainError(f"no class root of {a} mod {p}")

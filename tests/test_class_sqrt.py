@@ -6,6 +6,7 @@ from contextlib import contextmanager
 
 import pytest
 
+from cyclosvp import idealsvp, ntheory
 from cyclosvp.errors import DomainError
 from cyclosvp.ntheory import class_sqrt, root_of_minus_one, sieve_primes, sqrt_mod
 from cyclosvp.pell import pell_from_root, solve_pell
@@ -86,3 +87,21 @@ def test_root_of_minus_one_is_the_least_root_for_primes():
                 continue
             least = min(r for r in range(1, p) if pow(r, order // 2, p) == p - 1)
             assert root_of_minus_one(p, k) == least, (p, k)
+
+
+def test_a_9_mod_16_query_finds_the_root_of_minus_one_once(monkeypatch):
+    # the zeta8 ideal and sqrt(2) for the Pell core share one rho
+    p = 10**199 + 153
+    assert p % 16 == 9
+    class_sqrt(2, 17)  # any other p held from an earlier query is forgotten
+    calls = []
+
+    def counting(q, k):
+        calls.append((q, k))
+        return root_of_minus_one(q, k)
+
+    monkeypatch.setattr(ntheory, "root_of_minus_one", counting)
+    monkeypatch.setattr(idealsvp, "root_of_minus_one", counting)
+    res = idealsvp.lambda1_squared(p, 4)
+    assert res.witness.cross_checked
+    assert calls == [(p, 2)]

@@ -270,3 +270,17 @@ def test_every_error_path_maps_to_1_or_2(monkeypatch):
     monkeypatch.setitem(cli._DISPATCH, "pell", boom)
     code, data = run_json("pell", "--p", "89")
     assert code == 1 and data["error"] == "internal"
+
+
+@pytest.mark.parametrize("bound", ["1", "0", "-5"])
+def test_verify_refuses_a_norm_bound_below_2(bound):
+    # below 2 no ring has an ideal, so "passed" would report a check that never ran
+    code, text = run_cli("verify", "--norm-bound", bound)
+    assert code == 2
+    assert text == f'{{"error": "norm bound must be at least 2, got {bound}"}}\n'
+
+
+def test_verify_at_norm_bound_2_checks_an_ideal_in_every_ring():
+    code, data = run_json("verify", "--norm-bound", "2")
+    assert code == 0 and data["passed"] is True
+    assert [r["ideals"] for r in data["reports"]] == ["1", "1", "1", "1"]

@@ -5,6 +5,7 @@ rank-16 HNF whose diagonal carries p."""
 import pytest
 
 from cyclosvp import idealsvp, lattice
+from cyclosvp.errors import ConsistencyError
 from cyclosvp.idealsvp import lambda1_squared, lift_shortest, shortest_generator
 from cyclosvp.lattice import (
     hnf_rows,
@@ -20,6 +21,7 @@ from cyclosvp.rings import (
     QUARTIC_THETA,
     canonical_inner,
     cyclotomic,
+    element,
 )
 
 
@@ -116,3 +118,39 @@ def test_no_lll_call_starts_from_a_rank_8_or_16_hnf(monkeypatch, label):
     assert large  # the rank-16 lift is still reduced and enumerated
     for lat in large:
         assert lat.rows() != hnf_rows(lat.rows(), lat.ring.degree)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_certify_refuses_a_witness_outside_the_base_ideal(monkeypatch, n):
+    # a - bi has the right length but lies in the other prime over 13; the
+    # check runs in Z[i], so it also holds at rank 32, above the enumeration cap
+    real = idealsvp._base_witness
+
+    def conjugate_witness(p, label, level, root_hint):
+        lat, w, sq, method = real(p, label, level, root_hint)
+        a, b = w.coeffs
+        return lat, element(GAUSSIAN_INT, (a, -b)), sq, method
+
+    monkeypatch.setattr(idealsvp, "_base_witness", conjugate_witness)
+    with pytest.raises(ConsistencyError):
+        lambda1_squared(13, n)
+
+
+@pytest.mark.parametrize("label", sorted(BIG_PRIME))
+def test_each_tower_lattice_is_reduced_and_checked_once(monkeypatch, label):
+    p = BIG_PRIME[label]
+    dims = []
+    real_hnf = lattice.hnf_rows
+
+    def hnf(rows, dim):
+        dims.append(dim)
+        return real_hnf(rows, dim)
+
+    monkeypatch.setattr(lattice, "hnf_rows", hnf)
+    reduced = _record(monkeypatch, "lll_reduce", lattice, idealsvp)
+    res = lambda1_squared(p, 4)
+    assert res.witness.cross_checked
+    assert dims and max(dims) <= 4  # no HNF of a rank-8 or rank-16 lift
+    base_hnfs = [lat for lat in reduced
+                 if lat.rank <= 4 and lat.rows() == real_hnf(lat.rows(), lat.ring.degree)]
+    assert len(base_hnfs) == 1
