@@ -54,7 +54,6 @@ from .lattice import (
     canonical_coeffs,
     contains,
     enumerate_all,
-    lattice_from_rows,
     lift_ideal_lattice,
     lift_lattice_basis,
     lll_reduce,
@@ -146,9 +145,9 @@ def cornacchia(p: int, d: int) -> tuple[int, int]:
         raise DomainError(f"{p} != 1 (mod 4): no representation a^2 + b^2")
     if d == 2 and p % 8 not in (1, 3):
         raise DomainError(f"{p} != 1, 3 (mod 8): no representation a^2 + 2 b^2")
-    r = sqrt_mod(p - d % p, p)
-    assert r is not None
-    return cornacchia_descent(p, d, r)
+    if d == 2 and p % 8 == 1:  # sqrt(-1) sqrt(2) = rho^2 (rho - rho^3) = rho + rho^3
+        return cornacchia_descent(p, 2, class_sqrt(-1, p) * class_sqrt(2, p) % p)
+    return cornacchia_descent(p, d, class_sqrt(-d, p))
 
 
 def cornacchia_descent(p: int, d: int, r: int) -> tuple[int, int]:
@@ -333,19 +332,19 @@ def _quadratic_factors(ring: Ring, p: int) -> list[list[int]] | None:
     if ring is CYCLO_EIGHTH:
         # x^4 + 1 is never irreducible mod p
         if p % 8 == 3:
-            t = sqrt_mod(p - 2, p)
+            t = class_sqrt(-2, p)
             return [[p - 1, (-t) % p, 1], [p - 1, t % p, 1]]
         if p % 8 == 5:
-            s = sqrt_mod(p - 1, p)
+            s = class_sqrt(-1, p)
             return [[(-s) % p, 0, 1], [s % p, 0, 1]]
         if p % 8 == 7:
-            s = sqrt_mod(2, p)
+            s = class_sqrt(2, p)
             return [[1, (-s) % p, 1], [1, s % p, 1]]
         raise ConsistencyError(f"x^4 + 1 has roots mod {p}, factor path unreachable")
     if ring is QUARTIC_THETA:
         if p % 8 not in (1, 7):
             return None  # no sqrt2 mod p: irreducible
-        s = sqrt_mod(2, p)
+        s = class_sqrt(2, p)
         return [[(2 - s) % p, 0, 1], [(2 + s) % p, 0, 1]]
     raise DomainError(f"{ring.name} is not quartic")
 
@@ -355,32 +354,22 @@ def prime_ideals_up_to_norm(ring: Ring, norm_bound: int):
 
     Yields (lattice, norm, description) triples: degree-1 ideals from the
     roots of the defining polynomial mod p, degree-2 ideals from its
-    quadratic factors (quartic rings), and inert ideals (p).
+    quadratic factors (quartic rings), and inert ideals (p), each built
+    from its factor g (the defining polynomial itself for (p)).
     """
     out = []
     for p in sieve_primes(norm_bound):
         roots = [r for r in range(p) if _poly_eval_mod(ring.poly, r, p) == 0]
-        if roots:
-            for r in roots:
-                out.append((prime_ideal_lattice(ring, p, r), p, f"({p}, th-{r})"))
+        for r in roots:
+            out.append((prime_ideal_lattice(ring, p, r), p, f"({p}, th-{r})"))
+        if roots or p * p > norm_bound:
             continue
-        if ring.degree == 2:
-            if p * p <= norm_bound:
-                lat = principal_ideal_lattice(ring, integer(ring, p))
-                out.append((lat, p * p, f"({p}) inert"))
-            continue
-        if p * p <= norm_bound:
-            factors = _quadratic_factors(ring, p)
-            if factors:
-                for g in factors:
-                    lat = prime_ideal_from_factor(ring, p, g)
-                    out.append((lat, p * p, f"({p}, g(th)) deg-2"))
-                continue
-        if p ** 4 <= norm_bound:
-            facs = _quadratic_factors(ring, p)
-            if facs is None:
-                lat = principal_ideal_lattice(ring, integer(ring, p))
-                out.append((lat, p ** 4, f"({p}) inert"))
+        factors = None if ring.degree == 2 else _quadratic_factors(ring, p)
+        for g in factors or [ring.poly]:
+            norm = p ** (len(g) - 1)
+            if norm <= norm_bound:
+                desc = f"({p}) inert" if factors is None else f"({p}, g(th)) deg-2"
+                out.append((prime_ideal_from_factor(ring, p, g), norm, desc))
     return out
 
 
@@ -420,7 +409,7 @@ def svsg_verify(ring: Ring, norm_bound: int) -> SvsgReport:
         raise DomainError(f"norm bound must be at least 2, got {norm_bound}")
     entries = []
     for lat, norm, desc in prime_ideals_up_to_norm(ring, norm_bound):
-        p = lat.ideal_meta[0] if lat.ideal_meta else norm
+        p = lat.ideal_meta[0]
         try:
             lam, gen_sq, _ = _svsg_core(lat, norm)
             entries.append(SvsgEntry(p, norm, desc, lam, gen_sq, lam == gen_sq))
@@ -541,7 +530,7 @@ def _certify(rc: ResidueClass, n: int, root_hint: int | None,
     pell = _pell_if_solvable(p).  A 7, 9 (mod 16) base is LLL-reduced once,
     for its own enumeration and for the lift check."""
     base_lat, w, base_sq, method = _base_witness(rc.p, rc.label, n, root_hint)
-    base = base_lat
+    base, found, target = base_lat, None, cyclotomic(n)
     if w is None:
         base = lll_reduce(base_lat)
         found = svp_enumerate(base)
@@ -552,7 +541,9 @@ def _certify(rc: ResidueClass, n: int, root_hint: int | None,
             )
     if not contains(base_lat, w):
         raise ConsistencyError(f"witness lies outside the base ideal over p={rc.p}")
-    w_lift, expected, cert = _lift_check(lambda: base, w, base_sq, cyclotomic(n))
+    if found is not None and base.ring is target:  # 9 (mod 16) at n = 2
+        return SvpCertificate(found.vector, base_sq, method, True)
+    w_lift, expected, cert = _lift_check(lambda: base, w, base_sq, target)
     if cert is None:
         return SvpCertificate(canonical_torsion_rep(w_lift), expected, method, False)
     return SvpCertificate(cert.vector, expected, method, True)
@@ -760,38 +751,26 @@ def _gf2_pow(x, e, p, q):
 
 
 def _degree2_prime_lattice(p: int, n: int) -> IntegerLattice:
-    """Prime ideal of Z[zeta_{2^(n+1)}] over p with residue degree 2, as
-    the kernel of zeta -> beta for a root beta of x^(2^n) = -1 in GF(p^2)."""
+    """Prime ideal of Z[zeta_{2^(n+1)}] over p with residue degree 2, the
+    kernel of zeta -> beta for a root beta of x^(2^n) = -1 in GF(p^2):
+    (p, g(zeta)) for g the minimal polynomial of beta over GF(p)."""
     ring = cyclotomic(n)
-    d = ring.degree
-    order = 2 * d
+    order = 2 * ring.degree
     q = 2
     while pow(q, (p - 1) // 2, p) != p - 1:  # Euler's criterion: q a non-residue
         q += 1
     g0 = 1
-    beta = None
     while True:
         g0 += 1
-        cand = _gf2_pow((g0 % p, 1), (p * p - 1) // order, p, q)
-        if _gf2_pow(cand, order // 2, p, q) == (p - 1, 0):
-            beta = cand
+        beta = _gf2_pow((g0 % p, 1), (p * p - 1) // order, p, q)
+        if _gf2_pow(beta, order // 2, p, q) == (p - 1, 0):
             break
     b0, b1 = beta
     if b1 == 0:
         raise ConsistencyError("beta landed in the prime field; expected degree 2")
-    inv_b1 = pow(b1, -1, p)
-    rows = [[p] + [0] * (d - 1), [0, p] + [0] * (d - 2)]
-    cur = beta
-    for j in range(2, d):
-        cur = _gf2_mul(cur, beta, p, q)
-        v = cur[1] * inv_b1 % p
-        u = (cur[0] - v * b0) % p
-        row = [0] * d
-        row[0] = -u
-        row[1] = -v
-        row[j] = 1
-        rows.append(row)
-    return lattice_from_rows(ring, rows, ideal_meta=(p, None))
+    # (x - beta)(x - beta^p), beta^p = b0 - b1 sqrt(q)
+    g = [(b0 * b0 - q * b1 * b1) % p, -2 * b0 % p, 1]
+    return prime_ideal_from_factor(ring, p, g)
 
 
 def _fallback_enumerate(p: int, n: int) -> SvpCertificate:

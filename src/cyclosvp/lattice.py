@@ -6,14 +6,21 @@ Lattices built from generating rows have their basis in Hermite normal
 form (lower-triangular, positive diagonal, entries below the diagonal
 reduced modulo the diagonal above them); LLL output and lifted reduced
 bases are not in HNF, and every function here accepts any full-rank
-basis.  Reduction (Lagrange-Gauss, LLL at delta = 99/100) and shortest
-vector enumeration share one fraction-free kernel: the Gram-Schmidt data
-are the integers d_i (leading Gram minors) and lambda_ij = d_{j+1} mu_ij
-(Cohen, Alg. 2.6.7), and every pruning test compares two integers.
-Enumeration visits each level zig-zag from its centre and shrinks the
-radius to the best length found (Schnorr-Euchner), so every certificate
-is unconditional and no float touches a decision.  enumerate_all and
-svp_enumerate share one search, _short_vectors, at every rank.
+basis.
+
+Every prime-ideal lattice is an ideal (p, g(th)), g a monic factor of the
+defining polynomial f mod p, made by one builder, _prime_ideal, behind
+prime_ideal_lattice (g = x - r) and prime_ideal_from_factor (any g; g = f
+gives the inert ideal (p)).
+
+Reduction (Lagrange-Gauss, LLL at delta = 99/100) and shortest vector
+enumeration share one fraction-free kernel: the Gram-Schmidt data are the
+integers d_i (leading Gram minors) and lambda_ij = d_{j+1} mu_ij (Cohen,
+Alg. 2.6.7), and every pruning test compares two integers.  Enumeration
+visits each level zig-zag from its centre and shrinks the radius to the
+best length found (Schnorr-Euchner), so every certificate is unconditional
+and no float touches a decision.  enumerate_all and svp_enumerate share
+one search, _short_vectors, at every rank.
 """
 
 from __future__ import annotations
@@ -154,58 +161,66 @@ def lattice_from_rows(
     return IntegerLattice(ring, basis, _gram_matrix(ring, basis), ideal_meta)
 
 
+def _prime_ideal(
+    ring: Ring, p: int, g, ideal_meta
+) -> tuple[list[int], IntegerLattice | None]:
+    """(f mod g, lattice of (p, g(th)) or None when that remainder is not
+    zero), for g monic mod p, from one pass over the powers x^j mod g
+    (mod p), j = 0..d.  The rows p th^i (i < deg g) and th^j - (x^j mod
+    g)(th) (deg g <= j < d) lie in the ideal and are already in HNF with
+    determinant p^deg g, its index."""
+    d = ring.degree
+    e = len(g) - 1
+    low = [c % p for c in g[:e]]
+    cur = [1] + [0] * (e - 1) if e else []  # x^j mod g
+    rem = [0] * e
+    rows = []
+    for j, fj in enumerate(ring.poly):
+        if fj:
+            rem = [a + fj * c for a, c in zip(rem, cur)]
+        if j == d:
+            break
+        if j >= e:
+            rows.append([-c % p for c in cur] + [0] * (j - e) + [1] + [0] * (d - 1 - j))
+        if cur:  # x * cur - top * g
+            top = cur[-1]
+            cur = [(c - top * b) % p for c, b in zip([0] + cur[:-1], low)]
+    rem = [c % p for c in rem]
+    if any(rem):
+        return rem, None
+    head = [[0] * i + [p] + [0] * (d - 1 - i) for i in range(e)]
+    return rem, lattice_from_rows(ring, head + rows, ideal_meta)
+
+
 def prime_ideal_lattice(ring: Ring, p: int, r: int) -> IntegerLattice:
-    """Lattice of the prime ideal (p, th - r) where th generates the ring.
+    """Lattice of the prime ideal (p, th - r) where th generates the ring:
+    the builder's (p, g(th)) with g = x - r, whose remainder is f(r) mod p.
 
     Requires r to be a root of the ring's defining polynomial mod p; a
     non-root raises DomainError carrying the offending residue.
     """
-    d = ring.degree
-    residue = sum(c * pow(r, j, p) for j, c in enumerate(ring.poly)) % p
-    if residue:
+    rem, lat = _prime_ideal(ring, p, (-r, 1), (p, r % p))
+    if lat is None:
         raise DomainError(
             f"(p={p}, r={r}) is not an ideal of {ring.name}: "
-            f"defining polynomial has residue {residue} at r",
-            payload={"error": "not_an_ideal", "residue": str(residue)},
+            f"defining polynomial has residue {rem[0]} at r",
+            payload={"error": "not_an_ideal", "residue": str(rem[0])},
         )
-    rows = [[p] + [0] * (d - 1)]
-    for j in range(1, d):
-        row = [0] * d
-        row[0] = -pow(r, j, p)
-        row[j] = 1
-        rows.append(row)
-    return lattice_from_rows(ring, rows, ideal_meta=(p, r % p))
+    return lat
 
 
 def prime_ideal_from_factor(ring: Ring, p: int, g: list[int]) -> IntegerLattice:
-    """Lattice of (p, g(th)) for a monic divisor g of the defining
-    polynomial mod p; the ideal norm is p**deg(g)."""
-    d = ring.degree
-    gd = len(g) - 1
+    """Lattice of (p, g(th)) for a monic divisor g (coefficients from the
+    constant term up) of the defining polynomial mod p; the ideal norm is
+    p**deg(g), and g = the defining polynomial itself gives the ideal (p)."""
     if g[-1] % p != 1:
         raise DomainError("factor must be monic")
-    # check g | f mod p by polynomial long division
-    rem = [c % p for c in ring.poly]
-    for top in range(d, gd - 1, -1):
-        c = rem[top]
-        if c:
-            for i in range(gd + 1):
-                rem[top - gd + i] = (rem[top - gd + i] - c * g[i]) % p
-    if any(rem):
+    _, lat = _prime_ideal(ring, p, g, (p, None))
+    if lat is None:
         raise DomainError(
             f"g does not divide the defining polynomial of {ring.name} mod {p}"
         )
-    rows = []
-    for j in range(d):
-        row = [0] * d
-        row[j] = p
-        rows.append(row)
-    gel = element(ring, [g[i] if i <= gd else 0 for i in range(d)])
-    shift = gel
-    for _ in range(d - gd):
-        rows.append(list(shift.coeffs))
-        shift = mul(shift, element(ring, [0, 1] + [0] * (d - 2)))
-    return lattice_from_rows(ring, rows, ideal_meta=(p, None))
+    return lat
 
 
 def principal_ideal_lattice(ring: Ring, alpha: RingElement) -> IntegerLattice:

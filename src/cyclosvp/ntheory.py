@@ -188,11 +188,13 @@ def class_sqrt(a: int, p: int) -> int | None:
     - p = 1 (mod 8): only sqrt(2) = rho - rho**3 and sqrt(-1) = rho**2,
       with rho = _zeta8_root(p) the image of zeta8.
 
-    These are the roots the tower's witnesses are built from; every other
-    (a, class) pair raises DomainError.  Each root equals ``sqrt_mod(a, p)``.
-    No primality test runs: after ``classify_prime`` this is the tower's
-    only square-root path.  ``sqrt_mod``, ``legendre`` and ``solve_pell``
-    keep their own checks, internal re-tests included: they are the
+    These are the roots the tower's witnesses, ``cornacchia`` (which takes
+    sqrt(-2) for p = 1 (mod 8) as sqrt(-1) sqrt(2)) and the quartic factors
+    of the prime-ideal inventory are built from; every other (a, class)
+    pair raises DomainError.  Each root equals ``sqrt_mod(a, p)``.  No
+    primality test runs: ``classify_prime``, ``cornacchia`` or the sieve
+    has vouched for p.  ``sqrt_mod``, ``legendre`` and ``solve_pell`` keep
+    their own checks, internal re-tests included: they are the
     validating path for callers that pass an untested modulus, such as
     the ``pell`` and ``sqrtmod`` commands.
     """

@@ -274,6 +274,13 @@ def test_svsg_verify_all_rings_norm100():
         assert len(rep.entries) > 10
 
 
+@pytest.mark.parametrize("ring, norm", [(GAUSSIAN_INT, 9), (QUARTIC_THETA, 81)],
+                         ids=["zi", "theta16"])
+def test_svsg_inert_ideal_reports_p_not_its_norm(ring, norm):
+    (entry,) = [e for e in svsg_verify(ring, norm).entries if e.ideal == "(3) inert"]
+    assert (entry.p, entry.norm, entry.match) == (3, norm, True)
+
+
 def test_svsg_inventory_gaussian():
     ideals = prime_ideals_up_to_norm(GAUSSIAN_INT, 100)
     norms = sorted(n for _, n, _ in ideals)

@@ -114,6 +114,93 @@ def test_principal_ideal_lattice_norm():
         principal_ideal_lattice(GAUSSIAN_INT, integer(GAUSSIAN_INT, 0))
 
 
+def _reference_prime_ideal(ring, p, g):
+    """HNF of every multiple p th^k and g(th) th^k (k < d), by generic mul:
+    the ideal (p, g(th)) without the builder's powers x^j mod g."""
+    d = ring.degree
+    theta = element(ring, [0, 1] + [0] * (d - 2))
+    powers = [integer(ring, 1)]
+    for _ in range(d):
+        powers.append(mul(powers[-1], theta))
+    g_theta = element(ring, [sum(c * x.coeffs[i] for c, x in zip(g, powers))
+                             for i in range(d)])
+    rows = []
+    for gen in (integer(ring, p), g_theta):
+        for x in powers[:d]:
+            rows.append(list(mul(gen, x).coeffs))
+    return hnf_rows(rows, d)
+
+
+ALL_RINGS = [GAUSSIAN_INT, QUAD_SQRT2, CYCLO_EIGHTH, QUARTIC_THETA, cyclotomic(3),
+             cyclotomic(4)]
+
+
+@pytest.mark.parametrize("ring", ALL_RINGS, ids=lambda ring: ring.name)
+def test_prime_ideal_lattice_is_the_hnf_of_all_multiples(ring):
+    checked = 0
+    for p in (2, 3, 5, 7, 13, 17, 23, 41, 89, 97, 193):
+        for r in _roots(ring, p):
+            lat = prime_ideal_lattice(ring, p, r)
+            assert lat.rows() == _reference_prime_ideal(ring, p, [-r, 1]), (p, r)
+            assert lat.ideal_meta == (p, r)
+            checked += 1
+    assert checked >= 9
+
+
+@pytest.mark.parametrize("ring", ALL_RINGS, ids=lambda ring: ring.name)
+def test_prime_ideal_from_factor_is_the_hnf_of_all_multiples(ring):
+    factors = [(p, list(ring.poly)) for p in (3, 5, 11)]  # g = f: the ideal (p)
+    if ring.degree == 4:  # the inventory's quadratic factors
+        for p in (3, 5, 7, 11, 13, 19, 29, 31, 41, 47, 73, 79, 89):
+            if not _roots(ring, p):
+                factors += [(p, g) for g in idealsvp._quadratic_factors(ring, p) or ()]
+        assert len(factors) >= 12
+    for p, g in factors:
+        lat = prime_ideal_from_factor(ring, p, g)
+        assert lat.rows() == _reference_prime_ideal(ring, p, g), (p, g)
+        assert lat.ideal_meta == (p, None)
+        assert gram_det(lat.gram) == p ** (2 * (len(g) - 1)) * ring_disc(ring)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_degree2_fallback_lattice_is_the_hnf_of_all_multiples(n):
+    order = 2 << n
+    checked = 0
+    for p in (7, 23, 31, 47, 79, 97, 127, 191, 223):
+        if (p * p - 1) % order or (p - 1) % order == 0:
+            continue
+        lat = idealsvp._degree2_prime_lattice(p, n)
+        # row 2 is th^2 - (x^2 mod g)(th), so it names g = x^2 + c1 x + c0
+        g = [lat.basis[2].coeffs[0], lat.basis[2].coeffs[1], 1]
+        assert all((r * r + g[1] * r + g[0]) % p for r in range(p))  # irreducible
+        assert lat.rows() == _reference_prime_ideal(cyclotomic(n), p, g), p
+        assert lat.ideal_meta == (p, None)
+        assert gram_det(lat.gram) == p**4 * ring_disc(cyclotomic(n))
+        checked += 1
+    assert checked >= 3
+
+
+def test_prime_ideal_refusals_byte_exact():
+    with pytest.raises(DomainError) as err:
+        prime_ideal_lattice(CYCLO_EIGHTH, 89, 34)
+    assert str(err.value) == (
+        "(p=89, r=34) is not an ideal of zeta8: defining polynomial has residue 2 at r")
+    assert err.value.payload == {"error": "not_an_ideal", "residue": "2"}
+    with pytest.raises(DomainError) as err:
+        prime_ideal_lattice(QUAD_SQRT2, 7, -2)  # (-2)^2 - 2 = 2 (mod 7)
+    assert str(err.value) == (
+        "(p=7, r=-2) is not an ideal of zsqrt2: defining polynomial has residue 2 at r")
+    assert err.value.payload == {"error": "not_an_ideal", "residue": "2"}
+    for g in ([1, 1, 1], [1, 1], [1, 0, 0, 0, 0, 1]):  # no divisor of x^4 + 1 mod 11
+        with pytest.raises(DomainError) as err:
+            prime_ideal_from_factor(CYCLO_EIGHTH, 11, g)
+        assert str(err.value) == "g does not divide the defining polynomial of zeta8 mod 11"
+        assert err.value.payload == {}
+    with pytest.raises(DomainError) as err:
+        prime_ideal_from_factor(CYCLO_EIGHTH, 11, [10, 8, 2])
+    assert str(err.value) == "factor must be monic"
+
+
 # --- Gauss reduction ------------------------------------------------------
 
 

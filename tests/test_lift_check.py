@@ -154,3 +154,14 @@ def test_each_tower_lattice_is_reduced_and_checked_once(monkeypatch, label):
     base_hnfs = [lat for lat in reduced
                  if lat.rank <= 4 and lat.rows() == real_hnf(lat.rows(), lat.ring.degree)]
     assert len(base_hnfs) == 1
+
+
+@pytest.mark.parametrize("p, n", [(89, 2), (13, 1)])
+def test_a_base_in_the_target_ring_is_enumerated_once(monkeypatch, p, n):
+    # 89 = 9 (mod 16) at n = 2: the zeta8 base enumeration is the rank-4
+    # certificate; 13 = 5 (mod 8) at n = 1: the witness is Cornacchia's,
+    # and the one enumeration is the lift check
+    searched = _record(monkeypatch, "svp_enumerate", lattice, idealsvp)
+    res = lambda1_squared(p, n)
+    assert res.witness.cross_checked
+    assert [lat.rank for lat in searched] == [1 << n]

@@ -120,3 +120,20 @@ def test_pell_and_sqrtmod_at_two_and_at_a_prime_byte_exact():
     assert run_cli("sqrtmod", "--p", 89) == (0, '{"a": "2", "p": "89", "root": "25"}\n')
     assert run_cli("pell", "--p", 3) == (
         2, '{"error": "equation_unsolvable", "class_mod8": "3"}\n')
+
+
+@pytest.mark.parametrize("p, d", [
+    (97, 1), (97, 2), (89, 1), (11, 2), (13, 1),
+    (BIG_PRIME["9mod16"], 1), (BIG_PRIME["9mod16"], 2),
+    (BIG_PRIME["3mod8"], 2), (BIG_PRIME["5mod8"], 1),
+], ids=lambda v: str(v) if v < 10**6 else f"1e199+{v - BIG}")
+def test_cornacchia_tests_p_once(primality_tests, p, d):
+    a, b = idealsvp.cornacchia(p, d)
+    assert a * a + d * b * b == p
+    assert primality_tests == [p]
+
+
+def test_prime_ideal_inventory_runs_no_primality_test(primality_tests):
+    for ring in idealsvp.SVSG_RINGS:
+        assert idealsvp.prime_ideals_up_to_norm(ring, 500)
+    assert primality_tests == []
