@@ -85,6 +85,7 @@ from .rings import (
     canonical_sq_length,
     conjugate,
     cyclotomic,
+    cyclotomic_closure,
     element,
     element_to_json,
     field_norm,
@@ -319,11 +320,30 @@ def shortest_generator(p: int, ring: Ring, r: int) -> SvpCertificate:
 # prime ideal inventory (for verification suites)
 
 
-def _poly_eval_mod(poly, x, p):
-    acc = 0
-    for c in reversed(poly):
-        acc = (acc * x + c) % p
-    return acc
+def _degree1_roots(ring: Ring, p: int) -> list[int]:
+    """The roots of the defining polynomial f mod a prime p, sorted, from
+    the roots the class of p supplies; no residue is scanned and no
+    primality test runs.  Mod 2, f = (x + f(0))^d: 2 ramifies."""
+    if p == 2:
+        return [ring.poly[0] % 2]
+    if ring.cyclo_level is not None:  # the elements of order 2d
+        order = 2 * ring.degree
+        if (p - 1) % order:
+            return []
+        k = ring.cyclo_level
+        z = class_sqrt(-1, p) if k == 1 else root_of_minus_one(p, k)
+        return sorted(pow(z, j, p) for j in range(1, order, 2))
+    if ring is QUAD_SQRT2:
+        if p % 8 not in (1, 7):
+            return []
+        s = class_sqrt(2, p)
+        return [s, p - s]
+    if p % 16 == 7:
+        return _theta_roots(p, class_sqrt)
+    if p % 16 == 1:  # t = z + z^7 under zeta16 -> z^j, one j per coset of {1, 7}
+        z = root_of_minus_one(p, 3)
+        return sorted((pow(z, j, p) + pow(z, 7 * j, p)) % p for j in (1, 3, 9, 11))
+    return []
 
 
 def _quadratic_factors(ring: Ring, p: int) -> list[list[int]] | None:
@@ -359,7 +379,7 @@ def prime_ideals_up_to_norm(ring: Ring, norm_bound: int):
     """
     out = []
     for p in sieve_primes(norm_bound):
-        roots = [r for r in range(p) if _poly_eval_mod(ring.poly, r, p) == 0]
+        roots = _degree1_roots(ring, p)
         for r in roots:
             out.append((prime_ideal_lattice(ring, p, r), p, f"({p}, th-{r})"))
         if roots or p * p > norm_bound:
@@ -502,24 +522,36 @@ def _lift_check(base: Callable[[], IntegerLattice], w: RingElement, sq: int,
     and I * O_L meets O_K in I, so the lifted w lies in the lifted ideal.
     The squared length must scale by the degree ratio; at target rank <=
     the enumeration cap enumerating the lifted ideal must find nothing
-    shorter.  base is called only then.  The lifted ideal is enumerated
-    on the basis zeta^j * b_i lifted from the LLL-reduced base
-    (lift_lattice_basis), not on its HNF: the reduced base has rank 2 or
-    4 in the tower, and its lift is nearly reduced, while the HNF carries
-    p on its diagonal and makes LLL start from scratch at rank 2^n.
-    Enumeration returns the least sign-normalized shortest vector
-    whatever the basis, so the certificate is the same."""
+    shorter, and the vector it returns must have the expected length.
+    base is called only then.  The lifted ideal is enumerated on the
+    basis zeta^j * b_i lifted from the LLL-reduced base
+    (lift_lattice_basis), not on its HNF, whose diagonal carries p.  A
+    zsqrt2 or theta16 base is lifted first to its cyclotomic closure
+    (zeta8, zeta16) and reduced there at rank 4 or 8; from a cyclotomic
+    basis the lift keeps the zeta^j multiples orthogonal, so the rank-2^n
+    lattice is r reduced blocks whose Gram matrix is read off the block
+    structure.  Enumeration returns the least sign-normalized shortest
+    vector whatever the basis, so the certificate is the same."""
     expected = sq * (target.degree // w.ring.degree)
     w_lift = lift_element(w, target)
     if canonical_sq_length(w_lift) != expected:
         raise ConsistencyError("lift did not scale the squared length by the degree ratio")
     if target.degree > max_enumeration_rank():
         return w_lift, expected, None
-    tower = lift_lattice_basis(lll_reduce(base()), target)
-    cert = svp_enumerate(tower, expected)
+    reduced = lll_reduce(base())
+    closure = cyclotomic_closure(reduced.ring)
+    if closure is not reduced.ring and closure is not target:
+        reduced = lll_reduce(lift_lattice_basis(reduced, closure))
+    cert = svp_enumerate(lift_lattice_basis(reduced, target), expected)
     if cert.sq_length != expected:
         raise ConsistencyError(
             f"enumeration in {target.name} found {cert.sq_length} != {expected}"
+        )
+    measured = canonical_sq_length(cert.vector)
+    if measured != expected:
+        raise ConsistencyError(
+            f"enumeration in {target.name} returned a vector of squared length "
+            f"{measured}, not {expected}"
         )
     return w_lift, expected, cert
 

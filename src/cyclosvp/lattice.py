@@ -11,22 +11,29 @@ basis.
 Every prime-ideal lattice is an ideal (p, g(th)), g a monic factor of the
 defining polynomial f mod p, made by one builder, _prime_ideal, behind
 prime_ideal_lattice (g = x - r) and prime_ideal_from_factor (any g; g = f
-gives the inert ideal (p)).
+gives the inert ideal (p)), whose rows are in HNF as built.
 
 Reduction (Lagrange-Gauss, LLL at delta = 99/100) and shortest vector
 enumeration share one fraction-free kernel: the Gram-Schmidt data are the
 integers d_i (leading Gram minors) and lambda_ij = d_{j+1} mu_ij (Cohen,
-Alg. 2.6.7), and every pruning test compares two integers.  Enumeration
-visits each level zig-zag from its centre and shrinks the radius to the
-best length found (Schnorr-Euchner), so every certificate is unconditional
-and no float touches a decision.  enumerate_all and svp_enumerate share
-one search, _short_vectors, at every rank.
+Alg. 2.6.7), and every pruning test compares two integers.  LLL output
+carries its final (d, lambda) as IntegerLattice.gso; enumeration and a
+further LLL pass start from them instead of computing them again.
+Enumeration visits each level zig-zag from its centre and shrinks the
+radius to the best length found (Schnorr-Euchner), so every certificate
+is unconditional and no float touches a decision.  enumerate_all and
+svp_enumerate share one search, _short_vectors, at every rank.
+
+An ideal lifted to a higher cyclotomic ring is spanned by zeta^j * b_i
+(lift_lattice_basis).  The lift is a linear map, and from a cyclotomic
+source the multiples for different j are orthogonal, so that Gram matrix
+is r diagonal blocks of r times the source Gram, r the degree ratio.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ConsistencyError, DomainError, RadiusExhausted
@@ -66,7 +73,10 @@ class IntegerLattice:
 
     ``gram`` is the exact Gram matrix under the canonical form;
     ``ideal_meta`` records (p, r) for two-element presentations (p, th - r),
-    with r = None when the lattice was built another way.
+    with r = None when the lattice was built another way.  ``gso`` is the
+    integral Gram-Schmidt data (d, lam) of ``gram`` (see _integral_gso),
+    kept by lll_reduce so that a later reduction or enumeration of the
+    same basis does not compute it again; None when not known.
     """
 
     ring: Ring
@@ -74,6 +84,8 @@ class IntegerLattice:
     gram: tuple[tuple[int, ...], ...]
     ideal_meta: tuple[int, int | None] | None = None
     transform: tuple[tuple[int, ...], ...] | None = None
+    gso: tuple[tuple[int, ...], tuple[tuple[int, ...], ...]] | None = field(
+        default=None, compare=False, repr=False)
 
     @property
     def rank(self) -> int:
@@ -168,7 +180,7 @@ def _prime_ideal(
     zero), for g monic mod p, from one pass over the powers x^j mod g
     (mod p), j = 0..d.  The rows p th^i (i < deg g) and th^j - (x^j mod
     g)(th) (deg g <= j < d) lie in the ideal and are already in HNF with
-    determinant p^deg g, its index."""
+    determinant p^deg g, its index, so they are the basis as they stand."""
     d = ring.degree
     e = len(g) - 1
     low = [c % p for c in g[:e]]
@@ -189,7 +201,8 @@ def _prime_ideal(
     if any(rem):
         return rem, None
     head = [[0] * i + [p] + [0] * (d - 1 - i) for i in range(e)]
-    return rem, lattice_from_rows(ring, head + rows, ideal_meta)
+    basis = tuple(element(ring, r) for r in head + rows)
+    return rem, IntegerLattice(ring, basis, _gram_matrix(ring, basis), ideal_meta)
 
 
 def prime_ideal_lattice(ring: Ring, p: int, r: int) -> IntegerLattice:
@@ -248,9 +261,11 @@ def _zeta_multiples(lat: IntegerLattice, target: Ring) -> tuple[RingElement, ...
     is spanned over the source by 1, zeta, ..., zeta^(r-1), because
     zeta's minimal polynomial over the source has degree r and is monic
     with coefficients in the source ring, so these elements generate
-    (ideal) * target-ring.  From a cyclotomic source zeta^j and zeta^j'
-    are orthogonal over it for j != j', so the Gram matrix is r diagonal
-    blocks, each r times the source Gram.
+    (ideal) * target-ring.  From a cyclotomic source the lift sends the
+    coefficient of zeta_s^i to place i r, and zeta^j moves it to i r + j,
+    so the multiples for different j have disjoint supports: the Gram
+    matrix is r diagonal blocks, each r times the source Gram
+    (lift_lattice_basis builds it so).
     """
     source = lat.ring
     if target.cyclo_level is None:
@@ -279,10 +294,22 @@ def lift_lattice_basis(lat: IntegerLattice, target: Ring) -> IntegerLattice:
     _zeta_multiples(lat, target) itself, with its exact Gram matrix and
     without HNF.  Lifting an LLL-reduced basis gives a basis with small
     entries, which LLL and enumeration take far more cheaply than the
-    HNF, whose diagonal carries p."""
+    HNF, whose diagonal carries p.
+
+    The lift is a linear map, and from a cyclotomic source it scales
+    lengths by r and keeps the zeta^j multiples orthogonal, so the Gram
+    matrix is the block diagonal of r copies of r * lat.gram, read off
+    without a dot product.  A zsqrt2 or theta16 source has no such
+    structure; its Gram matrix is computed."""
     basis = _zeta_multiples(lat, target)
     meta = lat.ideal_meta and (lat.ideal_meta[0], None)
-    return IntegerLattice(target, basis, _gram_matrix(target, basis), meta)
+    if lat.ring.cyclo_level is None:
+        return IntegerLattice(target, basis, _gram_matrix(target, basis), meta)
+    r = target.degree // lat.ring.degree
+    pad = (0,) * lat.rank
+    block = [tuple(r * v for v in row) for row in lat.gram]
+    gram = tuple(pad * j + row + pad * (r - 1 - j) for j in range(r) for row in block)
+    return IntegerLattice(target, basis, gram, meta)
 
 
 def contains(lat: IntegerLattice, v: RingElement) -> bool:
@@ -356,7 +383,7 @@ def gauss_reduce_gram(gram) -> tuple[tuple[tuple[int, int], ...], list[list[int]
             return ((a, b), (b, c)), u
 
 
-def _apply_transform(lat: IntegerLattice, u: list[list[int]]) -> IntegerLattice:
+def _apply_transform(lat: IntegerLattice, u: list[list[int]], gso=None) -> IntegerLattice:
     rows = lat.rows()
     n = len(rows)
     d = lat.ring.degree
@@ -367,7 +394,7 @@ def _apply_transform(lat: IntegerLattice, u: list[list[int]]) -> IntegerLattice:
     basis = tuple(element(lat.ring, r) for r in new_rows)
     return IntegerLattice(
         lat.ring, basis, _gram_matrix(lat.ring, basis), lat.ideal_meta,
-        tuple(tuple(r) for r in u),
+        tuple(tuple(r) for r in u), gso,
     )
 
 
@@ -412,15 +439,20 @@ def lll_reduce(lat: IntegerLattice, delta: Fraction = DEFAULT_DELTA) -> IntegerL
 
     The decisions are those of rational LLL (size reduction rounds half
     to even), so the result is the same basis.  Returns a new lattice
-    whose ``transform`` field records the unimodular change of basis;
-    when no step changed the basis, that lattice keeps the input basis
-    and Gram matrix with the identity transform.  Rank-1 input is
-    returned unchanged.
+    whose ``transform`` field records the unimodular change of basis and
+    whose ``gso`` holds the final (d, lam); when no step changed the
+    basis, that lattice keeps the input basis and Gram matrix with the
+    identity transform.  The loop starts from the input's ``gso`` when it
+    has one, so reducing an LLL output again costs only the checks.
+    Rank-1 input is returned unchanged.
     """
     n = lat.rank
     if n < 2:
         return lat
-    d, lam = _integral_gso(lat.gram)
+    if lat.gso is None:
+        d, lam = _integral_gso(lat.gram)
+    else:
+        d, lam = list(lat.gso[0]), [list(row) for row in lat.gso[1]]
     num, den = delta.numerator, delta.denominator
     identity = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     u = [row[:] for row in identity]
@@ -460,13 +492,14 @@ def lll_reduce(lat: IntegerLattice, delta: Fraction = DEFAULT_DELTA) -> IntegerL
             for l in range(k - 2, -1, -1):
                 size_reduce(k, l)
             k += 1
+    gso = (tuple(d), tuple(tuple(row) for row in lam))
     if u == identity:  # nothing to rebuild
         return IntegerLattice(lat.ring, lat.basis, lat.gram, lat.ideal_meta,
-                              tuple(tuple(r) for r in u))
-    return _apply_transform(lat, u)
+                              tuple(tuple(r) for r in u), gso)
+    return _apply_transform(lat, u, gso)
 
 
-def _enum_coords(gram, radius_sq: int, shrink: bool):
+def _enum_coords(gram, radius_sq: int, shrink: bool, gso=None):
     """Yield (sq_length, coords) for nonzero vectors with x G x^T <= radius.
 
     One representative per +/- pair: the highest-index nonzero coordinate
@@ -478,9 +511,10 @@ def _enum_coords(gram, radius_sq: int, shrink: bool):
 
     Integer pruning: used = d[i+1] * |pi_{i+1}(v)|^2 is an integer, and
     x is admissible at level i iff (x d[i+1] - a)^2 <= d[i] (R d[i+1] - used).
+    ``gso`` is _integral_gso(gram) when the caller already holds it.
     """
     n = len(gram)
-    d, lam = _integral_gso(gram)
+    d, lam = _integral_gso(gram) if gso is None else gso
     x = [0] * n
     radius = radius_sq
 
@@ -541,7 +575,9 @@ def _short_vectors(lat: IntegerLattice, radius_sq: int | None, shrink: bool):
     """Yield (sq_length, row) for the nonzero vectors of ``lat`` with
     squared canonical length <= radius_sq, one per +/- pair, each row
     sign-normalized.  Checks the rank cap and searches the LLL-reduced
-    basis with the ring's common Gram factor divided out.  With ``shrink``
+    basis with the ring's common Gram factor s divided out; its
+    Gram-Schmidt data come from LLL's, since dividing the Gram by s
+    divides d[i] by s^i and lam[i][j] by s^(j+1).  With ``shrink``
     the radius starts no higher than the shortest reduced basis vector
     (there when radius_sq is None) and drops to each yielded length."""
     if lat.rank > max_enumeration_rank():
@@ -552,11 +588,17 @@ def _short_vectors(lat: IntegerLattice, radius_sq: int | None, shrink: bool):
     rows = red.rows()
     scale = lat.ring.gram_scale
     gram = tuple(tuple(v // scale for v in row) for row in red.gram)
+    gso = None
+    if red.gso is not None:
+        d, lam = red.gso
+        powers = [scale ** i for i in range(red.rank + 1)]
+        gso = ([v // s for v, s in zip(d, powers)],
+               [[v // s for v, s in zip(row, powers[1:])] for row in lam])
     radius = None if radius_sq is None else radius_sq // scale
     if shrink:
         least = min(gram[i][i] for i in range(red.rank))
         radius = least if radius is None else min(radius, least)
-    for sq, coords in _enum_coords(gram, radius, shrink):
+    for sq, coords in _enum_coords(gram, radius, shrink, gso):
         yield sq * scale, canonical_coeffs(_coords_to_row(coords, rows, lat.ring.degree))
 
 

@@ -396,15 +396,46 @@ def _generator_image(source: Ring, target: Ring) -> RingElement:
     raise DomainError(f"no embedding of {source.name} into {target.name}")
 
 
+@lru_cache(maxsize=None)
+def _basis_images(source: Ring, target: Ring) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The images of source's power basis 1, th, ..., th^(d-1) under the
+    fixed embedding into target, as (place, coefficient) pairs of their
+    nonzero coefficients: the columns of the embedding's matrix, built
+    once per (source, target) pair from the generator's image."""
+    g = _generator_image(source, target)
+    images, cur = [], one(target)
+    for _ in range(source.degree):
+        images.append(tuple((i, c) for i, c in enumerate(cur.coeffs) if c))
+        cur = mul(cur, g)
+    return tuple(images)
+
+
 def lift_element(x: RingElement, target: Ring) -> RingElement:
     """Image of x under the canonical embedding of its ring into target.
 
-    The squared canonical length scales by the degree ratio
-    target.degree / x.ring.degree.
+    The embedding is linear, so the image is the sum of the coefficients
+    times the images of the basis elements (one place each from a
+    cyclotomic source).  The squared canonical length scales by the
+    degree ratio target.degree / x.ring.degree.
     """
     if x.ring is target:
         return x
-    return _eval_poly(x.coeffs, _generator_image(x.ring, target))
+    out = [0] * target.degree
+    for c, image in zip(x.coeffs, _basis_images(x.ring, target)):
+        if c:
+            for i, v in image:
+                out[i] += c * v
+    return RingElement(target, tuple(out))
+
+
+def cyclotomic_closure(ring: Ring) -> Ring:
+    """The smallest cyclotomic ring of the tower containing ring: zeta8
+    for zsqrt2, zeta16 for theta16, a cyclotomic ring itself."""
+    if ring is QUAD_SQRT2:
+        return CYCLO_EIGHTH
+    if ring is QUARTIC_THETA:
+        return cyclotomic(3)
+    return ring
 
 
 def torsion_generator(ring: Ring) -> RingElement:

@@ -674,6 +674,85 @@ def test_contains_on_a_basis_not_in_hnf():
         assert not contains(red, outside) and not contains(lat, outside)
 
 
+def _gso_of(lat):
+    d, lam = lattice._integral_gso(lat.gram)
+    return tuple(d), tuple(tuple(row) for row in lam)
+
+
+def _gso_cases():
+    for k in range(1, 5):  # rank 2, 4, 8, 16 prime ideals and their lifts
+        ring = cyclotomic(k)
+        yield prime_ideal_lattice(ring, 97, root_of_minus_one(97, k))
+        yield lift_lattice_basis(lll_reduce(prime_ideal_lattice(GAUSSIAN_INT, 89, 34)), ring)
+    yield prime_ideal_lattice(QUAD_SQRT2, 89, 25)
+    yield prime_ideal_lattice(QUARTIC_THETA, 71, 9)
+    yield lift_lattice_basis(lll_reduce(prime_ideal_lattice(QUARTIC_THETA, 71, 9)),
+                             cyclotomic(3))
+    yield prime_ideal_lattice(cyclotomic(4), 10**30 + 577, root_of_minus_one(10**30 + 577, 4))
+    rng = random.Random(16)
+    for rank in range(2, 17):
+        yield _random_lattice(rng, rank, 12, knapsack=rank % 2 == 0)
+
+
+def test_lll_output_carries_its_gram_schmidt_integers(monkeypatch):
+    """lll_reduce's gso is _integral_gso of its output Gram, whether it
+    started from the Gram matrix or from a stored gso; a second reduction
+    starts from the stored data and returns the same basis."""
+    passes = []
+    real = lattice._integral_gso
+    monkeypatch.setattr(lattice, "_integral_gso", lambda gram: passes.append(gram) or real(gram))
+    for lat in _gso_cases():
+        red = lll_reduce(lat)
+        assert red.gso == _gso_of(red), lat.ring.name
+        passes.clear()
+        again = lll_reduce(red)
+        assert not passes
+        assert again.basis == red.basis and again.gso == red.gso
+        fresh = lll_reduce(IntegerLattice(lat.ring, red.basis, red.gram))
+        assert fresh.gso == red.gso and fresh.basis == red.basis
+        assert lll_reduce(lat, Fraction(3, 4)).gso == _gso_of(lll_reduce(lat, Fraction(3, 4)))
+
+
+def test_enumeration_takes_the_scaled_gso_from_lll(monkeypatch):
+    """_short_vectors hands _enum_coords LLL's (d, lam) with the ring's
+    Gram factor s divided out, d[i] by s^i and lam[i][j] by s^(j+1); that
+    equals the data of the scaled Gram, so no second pass is taken."""
+    seen = []
+    real = lattice._enum_coords
+
+    def spy(gram, radius, shrink, gso=None):
+        seen.append((gram, gso))
+        return real(gram, radius, shrink, gso)
+
+    monkeypatch.setattr(lattice, "_enum_coords", spy)
+    for k in range(1, 5):
+        svp_enumerate(prime_ideal_lattice(cyclotomic(k), 97, root_of_minus_one(97, k)))
+    svp_enumerate(prime_ideal_lattice(QUARTIC_THETA, 71, 9))
+    assert len(seen) == 5
+    for gram, gso in seen:
+        d, lam = lattice._integral_gso(gram)
+        assert gso == (d, lam)
+
+
+@pytest.mark.parametrize("source", [cyclotomic(k) for k in range(1, 6)],
+                         ids=lambda ring: ring.name)
+def test_lifted_block_gram_equals_the_computed_gram(source):
+    """From a cyclotomic source lift_lattice_basis reads the Gram matrix
+    off the block structure; it equals the one computed from the lifted
+    basis, for every target up to level 5."""
+    rng = random.Random(source.degree)
+    d = source.degree
+    basis = tuple(element(source, [rng.randrange(-10**40, 10**40) for _ in range(d)])
+                  for _ in range(d))
+    lat = IntegerLattice(source, basis, lattice._gram_matrix(source, basis), (97, None))
+    for k in range(source.cyclo_level, 6):
+        target = cyclotomic(k)
+        tower = lift_lattice_basis(lat, target)
+        assert tower.basis == lattice._zeta_multiples(lat, target)
+        assert tower.gram == lattice._gram_matrix(target, tower.basis)
+        assert tower.ideal_meta == (97, None)
+
+
 def test_lll_keeps_a_reduced_basis(monkeypatch):
     red = lll_reduce(prime_ideal_lattice(cyclotomic(3), 97, root_of_minus_one(97, 3)))
     rebuilt = []

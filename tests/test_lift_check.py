@@ -8,8 +8,11 @@ from cyclosvp import idealsvp, lattice
 from cyclosvp.errors import ConsistencyError
 from cyclosvp.idealsvp import lambda1_squared, lift_shortest, shortest_generator
 from cyclosvp.lattice import (
+    SvpCertificate,
     hnf_rows,
     lift_ideal_lattice,
+    lift_lattice_basis,
+    lll_reduce,
     principal_ideal_lattice,
     svp_enumerate,
 )
@@ -150,7 +153,9 @@ def test_each_tower_lattice_is_reduced_and_checked_once(monkeypatch, label):
     reduced = _record(monkeypatch, "lll_reduce", lattice, idealsvp)
     res = lambda1_squared(p, 4)
     assert res.witness.cross_checked
-    assert dims and max(dims) <= 4  # no HNF of a rank-8 or rank-16 lift
+    # no HNF of a rank-8 or rank-16 lift is taken; the base lattice comes
+    # from its builder already in HNF, and is reduced once
+    assert max(dims, default=0) <= 4
     base_hnfs = [lat for lat in reduced
                  if lat.rank <= 4 and lat.rows() == real_hnf(lat.rows(), lat.ring.degree)]
     assert len(base_hnfs) == 1
@@ -165,3 +170,53 @@ def test_a_base_in_the_target_ring_is_enumerated_once(monkeypatch, p, n):
     res = lambda1_squared(p, n)
     assert res.witness.cross_checked
     assert [lat.rank for lat in searched] == [1 << n]
+
+
+def _through_closure(base, closure, target):
+    """The basis of target's lattice lifted through the reduced closure,
+    and the basis of the lift straight from the reduced base."""
+    reduced = lll_reduce(base)
+    via = lift_lattice_basis(lll_reduce(lift_lattice_basis(reduced, closure)), target)
+    return via.basis, lift_lattice_basis(reduced, target).basis
+
+
+@pytest.mark.parametrize("p", [7, 71, BIG_PRIME["7mod16"]])
+def test_a_theta16_base_is_lifted_through_zeta16(monkeypatch, p):
+    # 7 (mod 16) at n = 4: the rank-16 lattice handed to enumeration is
+    # the lift of the zeta16-reduced basis, not a lift straight from theta16
+    enumerated = _record(monkeypatch, "svp_enumerate", idealsvp)
+    res = lambda1_squared(p, 4)
+    assert res.witness.cross_checked
+    base = idealsvp._base_witness(p, "7mod16", 4, None)[0]
+    via, straight = _through_closure(base, cyclotomic(3), cyclotomic(4))
+    assert [lat.rank for lat in enumerated] == [4, 16]
+    assert enumerated[-1].basis == via != straight
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_a_zsqrt2_witness_is_lifted_through_zeta8(monkeypatch, n):
+    cert = shortest_generator(89, QUAD_SQRT2, 25)
+    enumerated = _record(monkeypatch, "svp_enumerate", idealsvp)
+    lifted = lift_shortest(cert, n)
+    assert lifted.cross_checked
+    base = principal_ideal_lattice(QUAD_SQRT2, cert.vector)
+    via, straight = _through_closure(base, CYCLO_EIGHTH, cyclotomic(n))
+    assert len(enumerated) == 1 and enumerated[0].basis == via != straight
+
+
+@pytest.mark.parametrize("p, n", [(89, 3), (13, 2), (71, 3)])
+def test_lift_check_refuses_a_vector_of_another_length(monkeypatch, p, n):
+    # an enumeration that reports the expected length for a vector of
+    # another length is caught by measuring the vector itself
+    real = idealsvp.svp_enumerate
+
+    def misreport(lat, radius_sq=None):
+        cert = real(lat, radius_sq)
+        if lat.ring is not cyclotomic(n):
+            return cert
+        doubled = element(lat.ring, [2 * c for c in cert.vector.coeffs])
+        return SvpCertificate(doubled, cert.sq_length, cert.method, cert.cross_checked)
+
+    monkeypatch.setattr(idealsvp, "svp_enumerate", misreport)
+    with pytest.raises(ConsistencyError, match="squared length"):
+        lambda1_squared(p, n)

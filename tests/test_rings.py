@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from cyclosvp import rings
 from cyclosvp.errors import DomainError
 from cyclosvp.rings import (
     CYCLO_EIGHTH,
@@ -293,6 +294,29 @@ def test_lift_is_ring_homomorphism():
             assert lift_element(mul(x, y), dst) == mul(fx, fy)
             assert lift_element(x + y, dst) == fx + fy
             assert canonical_sq_length(fx) == ratio * canonical_sq_length(x)
+
+
+def test_lift_is_the_horner_image_of_the_generator():
+    """The linear map through the cached basis images gives what Horner's
+    rule at the generator's image gives, for every supported pair."""
+    rng = random.Random(200)
+    sources = (GAUSSIAN_INT, QUAD_SQRT2, CYCLO_EIGHTH, QUARTIC_THETA, cyclotomic(3),
+               cyclotomic(4), cyclotomic(5))
+    targets = sources + (cyclotomic(6),)
+    pairs = 0
+    for src in sources:
+        for dst in targets:
+            if dst is src or dst.degree < src.degree:
+                continue
+            try:
+                gen = rings._generator_image(src, dst)
+            except DomainError:
+                continue
+            pairs += 1
+            for span in (9, 10**200):
+                x = rand_elem(src, rng, span)
+                assert lift_element(x, dst) == rings._eval_poly(x.coeffs, gen)
+    assert pairs == 25
 
 
 def test_sqrt2_image_squares_to_two():
