@@ -320,30 +320,11 @@ def shortest_generator(p: int, ring: Ring, r: int) -> SvpCertificate:
 # prime ideal inventory (for verification suites)
 
 
-def _degree1_roots(ring: Ring, p: int) -> list[int]:
-    """The roots of the defining polynomial f mod a prime p, sorted, from
-    the roots the class of p supplies; no residue is scanned and no
-    primality test runs.  Mod 2, f = (x + f(0))^d: 2 ramifies."""
-    if p == 2:
-        return [ring.poly[0] % 2]
-    if ring.cyclo_level is not None:  # the elements of order 2d
-        order = 2 * ring.degree
-        if (p - 1) % order:
-            return []
-        k = ring.cyclo_level
-        z = class_sqrt(-1, p) if k == 1 else root_of_minus_one(p, k)
-        return sorted(pow(z, j, p) for j in range(1, order, 2))
-    if ring is QUAD_SQRT2:
-        if p % 8 not in (1, 7):
-            return []
-        s = class_sqrt(2, p)
-        return [s, p - s]
-    if p % 16 == 7:
-        return _theta_roots(p, class_sqrt)
-    if p % 16 == 1:  # t = z + z^7 under zeta16 -> z^j, one j per coset of {1, 7}
-        z = root_of_minus_one(p, 3)
-        return sorted((pow(z, j, p) + pow(z, 7 * j, p)) % p for j in (1, 3, 9, 11))
-    return []
+def _poly_eval_mod(poly, x, p):
+    acc = 0
+    for c in reversed(poly):
+        acc = (acc * x + c) % p
+    return acc
 
 
 def _quadratic_factors(ring: Ring, p: int) -> list[list[int]] | None:
@@ -379,7 +360,7 @@ def prime_ideals_up_to_norm(ring: Ring, norm_bound: int):
     """
     out = []
     for p in sieve_primes(norm_bound):
-        roots = _degree1_roots(ring, p)
+        roots = [r for r in range(p) if _poly_eval_mod(ring.poly, r, p) == 0]
         for r in roots:
             out.append((prime_ideal_lattice(ring, p, r), p, f"({p}, th-{r})"))
         if roots or p * p > norm_bound:

@@ -444,11 +444,9 @@ def lll_reduce(lat: IntegerLattice, delta: Fraction = DEFAULT_DELTA) -> IntegerL
     basis, that lattice keeps the input basis and Gram matrix with the
     identity transform.  The loop starts from the input's ``gso`` when it
     has one, so reducing an LLL output again costs only the checks.
-    Rank-1 input is returned unchanged.
+    Rank-1 input comes back with the identity transform and d = (1, g00).
     """
     n = lat.rank
-    if n < 2:
-        return lat
     if lat.gso is None:
         d, lam = _integral_gso(lat.gram)
     else:
@@ -499,7 +497,7 @@ def lll_reduce(lat: IntegerLattice, delta: Fraction = DEFAULT_DELTA) -> IntegerL
     return _apply_transform(lat, u, gso)
 
 
-def _enum_coords(gram, radius_sq: int, shrink: bool, gso=None):
+def _enum_coords(gram, radius_sq: int, shrink: bool, gso):
     """Yield (sq_length, coords) for nonzero vectors with x G x^T <= radius.
 
     One representative per +/- pair: the highest-index nonzero coordinate
@@ -511,10 +509,10 @@ def _enum_coords(gram, radius_sq: int, shrink: bool, gso=None):
 
     Integer pruning: used = d[i+1] * |pi_{i+1}(v)|^2 is an integer, and
     x is admissible at level i iff (x d[i+1] - a)^2 <= d[i] (R d[i+1] - used).
-    ``gso`` is _integral_gso(gram) when the caller already holds it.
+    ``gso`` is the (d, lam) of ``gram`` (see _integral_gso).
     """
     n = len(gram)
-    d, lam = _integral_gso(gram) if gso is None else gso
+    d, lam = gso
     x = [0] * n
     radius = radius_sq
 
@@ -588,12 +586,10 @@ def _short_vectors(lat: IntegerLattice, radius_sq: int | None, shrink: bool):
     rows = red.rows()
     scale = lat.ring.gram_scale
     gram = tuple(tuple(v // scale for v in row) for row in red.gram)
-    gso = None
-    if red.gso is not None:
-        d, lam = red.gso
-        powers = [scale ** i for i in range(red.rank + 1)]
-        gso = ([v // s for v, s in zip(d, powers)],
-               [[v // s for v, s in zip(row, powers[1:])] for row in lam])
+    d, lam = red.gso
+    powers = [scale ** i for i in range(red.rank + 1)]
+    gso = ([v // s for v, s in zip(d, powers)],
+           [[v // s for v, s in zip(row, powers[1:])] for row in lam])
     radius = None if radius_sq is None else radius_sq // scale
     if shrink:
         least = min(gram[i][i] for i in range(red.rank))

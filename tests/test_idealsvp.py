@@ -281,17 +281,6 @@ def test_svsg_inert_ideal_reports_p_not_its_norm(ring, norm):
     assert (entry.p, entry.norm, entry.match) == (3, norm, True)
 
 
-@pytest.mark.parametrize("ring", [GAUSSIAN_INT, QUAD_SQRT2, CYCLO_EIGHTH, QUARTIC_THETA,
-                                  cyclotomic(3), cyclotomic(4)], ids=lambda ring: ring.name)
-def test_inventory_roots_come_from_the_class_of_p(ring):
-    """The degree-1 primes of the inventory are the roots of f mod p,
-    found without scanning the residues; compare with the scan."""
-    for p in sieve_primes(1000):
-        scan = [r for r in range(p)
-                if sum(c * pow(r, j, p) for j, c in enumerate(ring.poly)) % p == 0]
-        assert idealsvp._degree1_roots(ring, p) == scan, p
-
-
 def test_svsg_inventory_gaussian():
     ideals = prime_ideals_up_to_norm(GAUSSIAN_INT, 100)
     norms = sorted(n for _, n, _ in ideals)

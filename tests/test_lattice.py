@@ -689,6 +689,8 @@ def _gso_cases():
     yield lift_lattice_basis(lll_reduce(prime_ideal_lattice(QUARTIC_THETA, 71, 9)),
                              cyclotomic(3))
     yield prime_ideal_lattice(cyclotomic(4), 10**30 + 577, root_of_minus_one(10**30 + 577, 4))
+    one = (element(GAUSSIAN_INT, (3, 1)),)
+    yield IntegerLattice(GAUSSIAN_INT, one, lattice._gram_matrix(GAUSSIAN_INT, one))
     rng = random.Random(16)
     for rank in range(2, 17):
         yield _random_lattice(rng, rank, 12, knapsack=rank % 2 == 0)
@@ -720,7 +722,7 @@ def test_enumeration_takes_the_scaled_gso_from_lll(monkeypatch):
     seen = []
     real = lattice._enum_coords
 
-    def spy(gram, radius, shrink, gso=None):
+    def spy(gram, radius, shrink, gso):
         seen.append((gram, gso))
         return real(gram, radius, shrink, gso)
 
