@@ -54,7 +54,6 @@ from .lattice import (
     canonical_coeffs,
     contains,
     enumerate_all,
-    lift_ideal_lattice,
     lift_lattice_basis,
     lll_reduce,
     max_enumeration_rank,
@@ -259,12 +258,21 @@ def canonical_torsion_rep(w: RingElement) -> RingElement:
     """Deterministic representative of {torsion * w}: the sign-normalized
     coefficient vector that is lexicographically smallest.  In a
     cyclotomic ring the torsion is +-zeta^j and the candidates are the d
-    rotations zeta^j * w; elsewhere it is +-1."""
+    rotations zeta^j * w; elsewhere it is +-1.  More leading zeros make a
+    smaller vector, so only the rotations that move a support place
+    following a widest cyclic gap g of the support to place g - 1
+    compete: O(s d) for s nonzero coefficients."""
     ring = w.ring
     if ring.cyclo_level is None:
         return element(ring, canonical_coeffs(w.coeffs))
-    return element(ring, min(canonical_coeffs(zeta_shift(w, j).coeffs)
-                             for j in range(ring.degree)))
+    d = ring.degree
+    support = [i for i, c in enumerate(w.coeffs) if c]
+    if not support:
+        return w
+    gaps = [(s - prev) % d or d for prev, s in zip(support[-1:] + support, support)]
+    widest = max(gaps)
+    return element(ring, min(canonical_coeffs(zeta_shift(w, widest - 1 - s).coeffs)
+                             for s, g in zip(support, gaps) if g == widest))
 
 
 def _svsg_core(lat: IntegerLattice, norm: int) -> tuple[int, int, RingElement]:
@@ -442,14 +450,15 @@ def _base_witness(p: int, label: str, n: int, root_hint: int | None):
     if label == "3mod8":
         if n == 1:
             # p is inert in Z[i]; the ideal (p) has shortest vector p itself
-            w = integer(GAUSSIAN_INT, p)
-            lat = principal_ideal_lattice(GAUSSIAN_INT, w)
-            return lat, w, 2 * p * p, "analytic-formula"
+            lat = prime_ideal_from_factor(GAUSSIAN_INT, p, [1, 0, 1])
+            return lat, integer(GAUSSIAN_INT, p), 2 * p * p, "analytic-formula"
         if root_hint is not None:
             raise DomainError("p = 3 (mod 8): the base ideal has no degree-1 root")
         a, b = cornacchia_descent(p, 2, class_sqrt(-2, p))
         w = element(CYCLO_EIGHTH, (a, b, 0, b))  # a + b*sqrt(-2)
-        lat = principal_ideal_lattice(CYCLO_EIGHTH, w)
+        # (w) = (p, g(zeta)): sqrt(-2) = zeta + zeta^3 = zeta - zeta^-1 is
+        # -a/b mod (w), so zeta is a root of g = x^2 + (a/b) x - 1
+        lat = prime_ideal_from_factor(CYCLO_EIGHTH, p, [p - 1, a * pow(b, -1, p) % p, 1])
         return lat, w, 4 * p, "analytic-formula"
     if label == "9mod16":
         ring = CYCLO_EIGHTH
@@ -723,10 +732,12 @@ def zeta16_lift_check(p: int) -> LiftCheckReport:
     if p % 16 != 7:
         raise DomainError(f"p must be 7 (mod 16), got {p} = {p % 16} (mod 16)")
     classify_prime(p)
-    roots = _theta_roots(p, class_sqrt)
-    base = prime_ideal_lattice(QUARTIC_THETA, p, roots[0])
+    r = _theta_roots(p, class_sqrt)[0]
+    base = prime_ideal_lattice(QUARTIC_THETA, p, r)
     sub = svp_enumerate(base, _generator_bound_sq(QUARTIC_THETA, p))
-    ext_lat = lift_ideal_lattice(base, cyclotomic(3))
+    # t = zeta + zeta^7 = zeta - zeta^-1, so (p, t - r) extends to
+    # (p, zeta^2 - r zeta - 1), built directly rather than lifted
+    ext_lat = prime_ideal_from_factor(cyclotomic(3), p, [p - 1, -r % p, 1])
     ext = svp_enumerate(ext_lat, 2 * sub.sq_length)
     w = lift_element(sub.vector, cyclotomic(3))
     attains = (

@@ -41,6 +41,7 @@ from .rings import (
     Ring,
     RingElement,
     element,
+    form_image,
     lift_element,
     mul,
     zeta_shift,
@@ -148,14 +149,11 @@ def _gram_matrix(ring: Ring, basis) -> tuple[tuple[int, ...], ...]:
     """Exact Gram matrix of ring elements under the canonical form.
 
     Equals canonical_inner on every pair, but maps each vector through
-    the nonzero entries of the ring's Gram once and fills one triangle:
-    O(n s d + n^2 d) with s nonzero entries per Gram row (1 in a
+    the ring's sparse form once (form_image) and fills one triangle:
+    O(n s d + n^2 d) with s nonzero entries per form row (1 in a
     cyclotomic ring), not O(n^2 d^2)."""
     coeffs = [b.coeffs for b in basis]
-    images = [
-        [sum(v * c[j] for j, v in row) for row in ring.gram_nonzero]
-        for c in coeffs
-    ]
+    images = [form_image(ring, c) for c in coeffs]
     n = len(coeffs)
     out = [[0] * n for _ in range(n)]
     for i in range(n):

@@ -21,96 +21,75 @@ t^4 + 4 t^2 + 2 = 0 and t^2 = sqrt2 - 2.
 All coefficients are arbitrary-precision integers; no floating point is
 used anywhere.  Lengths refer to the canonical embedding: the squared
 length of x is the sum of |phi(x)|^2 over all field embeddings phi, an
-integer computed from the precomputed Gram matrix of the power basis
-(2^k * I for the cyclotomic rings, diag(2, 4) for zsqrt2, and the trace
-form of t for theta16).  Serialization is the coefficient vector in the
-fixed basis order above.
+integer computed from the canonical form of the power basis, stored as
+sparse rows (2^k * I for the cyclotomic rings, one entry per row, so a
+level is built in O(d); diag(2, 4) for zsqrt2; the trace form of t for
+theta16).  Serialization is the coefficient vector in the fixed basis
+order above.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import gcd
 
 from .errors import ConsistencyError, DomainError
 
 
-def _reduction_rows(poly: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """Expansions of theta^d .. theta^(2d-2) in the power basis."""
-    d = len(poly) - 1
-    rows = []
-    cur = [-c for c in poly[:-1]]
-    rows.append(tuple(cur))
-    for _ in range(d - 2):
-        top = cur[-1]
-        cur = [0] + cur[:-1]
-        if top:
-            cur = [cur[i] + top * rows[0][i] for i in range(d)]
-        rows.append(tuple(cur))
-    return tuple(rows)
-
-
 class Ring:
-    """A supported ring: defining polynomial, canonical Gram form, units."""
+    """A supported ring: name, defining polynomial, canonical form (row i
+    of ``gram_nonzero`` lists the (column, entry) pairs of the nonzero
+    Gram entries of basis element i) and tower level, None off the tower.
+    ``gram_scale``, ``torsion_order`` and ``has_sqrt2`` derive from them."""
 
     __slots__ = (
         "name",
         "degree",
         "poly",
-        "gram",
         "gram_nonzero",
         "gram_scale",
         "cyclo_level",
         "torsion_order",
         "has_sqrt2",
-        "_reduction",
+        "_low_terms",
     )
 
-    def __init__(
-        self,
-        name: str,
-        poly: tuple[int, ...],
-        gram: tuple[tuple[int, ...], ...],
-        gram_scale: int,
-        cyclo_level: int | None,
-        torsion_order: int,
-        has_sqrt2: bool,
-    ):
+    def __init__(self, name: str, poly: tuple[int, ...], form, cyclo_level: int | None):
         self.name = name
         self.poly = poly
         self.degree = len(poly) - 1
-        self.gram = gram
-        # (column, entry) pairs of each Gram row's nonzero entries
-        self.gram_nonzero = tuple(
-            tuple((j, v) for j, v in enumerate(row) if v) for row in gram
-        )
-        self.gram_scale = gram_scale
+        self.gram_nonzero = form
+        self.gram_scale = gcd(*(v for row in form for _, v in row))
         self.cyclo_level = cyclo_level
-        self.torsion_order = torsion_order
-        self.has_sqrt2 = has_sqrt2
-        self._reduction = _reduction_rows(poly)
+        self.torsion_order = 2 * self.degree if cyclo_level is not None else 2
+        self.has_sqrt2 = cyclo_level != 1
+        # th^d = -sum f_k th^k over the nonzero low terms f_k of the monic poly
+        self._low_terms = tuple((k, c) for k, c in enumerate(poly[:-1]) if c)
+
+    @property
+    def gram(self) -> tuple[tuple[int, ...], ...]:
+        """The canonical form as a dense d x d Gram matrix."""
+        dense = [[0] * self.degree for _ in self.gram_nonzero]
+        for out, row in zip(dense, self.gram_nonzero):
+            for j, v in row:
+                out[j] = v
+        return tuple(map(tuple, dense))
 
     def __repr__(self) -> str:
         return f"Ring({self.name})"
 
 
-def _scaled_identity(d: int, s: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(s if i == j else 0 for j in range(d)) for i in range(d))
+def _diagonal_form(d: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    return tuple(((i, d),) for i in range(d))
 
 
-GAUSSIAN_INT = Ring("zi", (1, 0, 1), _scaled_identity(2, 2), 2, 1, 4, False)
-QUAD_SQRT2 = Ring("zsqrt2", (-2, 0, 1), ((2, 0), (0, 4)), 2, None, 2, True)
-CYCLO_EIGHTH = Ring("zeta8", (1, 0, 0, 0, 1), _scaled_identity(4, 4), 4, 2, 8, True)
+GAUSSIAN_INT = Ring("zi", (1, 0, 1), _diagonal_form(2), 1)
+QUAD_SQRT2 = Ring("zsqrt2", (-2, 0, 1), (((0, 2),), ((1, 4),)), None)
+CYCLO_EIGHTH = Ring("zeta8", (1, 0, 0, 0, 1), _diagonal_form(4), 2)
 # Trace form Tr(x * conj(y)) of the basis {1, t, t^2, t^3}, t^2 = sqrt2 - 2.
-QUARTIC_THETA = Ring(
-    "theta16",
-    (2, 0, 4, 0, 1),
-    ((4, 0, -8, 0), (0, 8, 0, -24), (-8, 0, 24, 0), (0, -24, 0, 80)),
-    4,
-    None,
-    2,
-    True,
-)
+QUARTIC_THETA = Ring("theta16", (2, 0, 4, 0, 1), (
+    ((0, 4), (2, -8)), ((1, 8), (3, -24)), ((0, -8), (2, 24)), ((1, -24), (3, 80))), None)
 
 _CYCLO_CACHE: dict[int, Ring] = {1: GAUSSIAN_INT, 2: CYCLO_EIGHTH}
 
@@ -126,7 +105,7 @@ def cyclotomic(k: int) -> Ring:
     if ring is None:
         d = 1 << k
         poly = (1,) + (0,) * (d - 1) + (1,)
-        ring = Ring(f"zeta{2 * d}", poly, _scaled_identity(d, d), d, k, 2 * d, True)
+        ring = Ring(f"zeta{2 * d}", poly, _diagonal_form(d), k)
         _CYCLO_CACHE[k] = ring
     return ring
 
@@ -222,15 +201,14 @@ def mul(x: RingElement, y: RingElement) -> RingElement:
             for j, yj in enumerate(y.coeffs):
                 if yj:
                     prod[i + j] += xi * yj
-    out = prod[:d]
-    for k in range(d, 2 * d - 1):
+    # th^k = -sum f_t th^(k-d+t), from the top degree down
+    low = ring._low_terms
+    for k in range(2 * d - 2, d - 1, -1):
         c = prod[k]
         if c:
-            row = ring._reduction[k - d]
-            for i in range(d):
-                if row[i]:
-                    out[i] += c * row[i]
-    return RingElement(ring, tuple(out))
+            for t, f in low:
+                prod[k - d + t] -= c * f
+    return RingElement(ring, tuple(prod[:d]))
 
 
 def zeta_shift(x: RingElement, e: int) -> RingElement:
@@ -355,16 +333,16 @@ def field_norm(x: RingElement) -> int:
     return acc.coeffs[0]
 
 
+def form_image(ring: Ring, coeffs) -> list[int]:
+    """G c for the ring's canonical Gram form G, read from its sparse
+    rows: O(s d) with s nonzero entries per row (1 in a cyclotomic ring)."""
+    return [sum(v * coeffs[j] for j, v in row) for row in ring.gram_nonzero]
+
+
 def canonical_inner(x: RingElement, y: RingElement) -> int:
     """Canonical-embedding inner product, an exact integer."""
     _check_same_ring(x, y)
-    g = x.ring.gram
-    total = 0
-    for i, xi in enumerate(x.coeffs):
-        if xi:
-            row = g[i]
-            total += xi * sum(row[j] * yj for j, yj in enumerate(y.coeffs) if yj)
-    return total
+    return sum(a * b for a, b in zip(x.coeffs, form_image(x.ring, y.coeffs)) if a)
 
 
 def canonical_sq_length(x: RingElement) -> int:

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 
@@ -56,6 +57,41 @@ def test_lambda1_enumeration_fallback_at_60_digits():
     witness = element(cyclotomic(2), [int(c) for c in data["witness"]["coeffs"]])
     assert lam == canonical_sq_length(witness) and field_norm(witness) % p == 0
     assert lam * lam >= 16 * p  # AM-GM: lambda1^2 >= d N^(2/d) with d = 4
+
+
+# sha256 of the `lambda1` stdout at n = 5, 6, recorded from the
+# implementation that kept dense d x d Gram and reduction tables
+_LEVEL_5_6_SHA256 = {
+    (13, 5): "f9966eca5f44c5b997aa0faf3081e25f5514d477926e958597c2869ffb3b6332",
+    (13, 6): "a355360a807b0850f63eff91771d4de9d57902522b4db7a7d7a877248b96b8a6",
+    (11, 5): "c8d1ae9a7a23d264449139da7a1dad2eb9a0b6d6d963c53d2751a2a284dcd8b8",
+    (11, 6): "19cbd6d2325cdbf11efa3df61df16250d0d44667ea24c2f2091bb5a861a7ef1e",
+    (89, 5): "134b19616fddce24fc51e42d23b6509b52fe8bf210d7dc525681ea2281330ac9",
+    (89, 6): "a47644dbae75bfc66650e40d6b91df63be5da2bcae1bcedc11942e81a9cef972",
+    (71, 5): "f73aa329187db4a9024157fb1849adbefe96badedc85e68d97eecdc1fcf78d4e",
+    (71, 6): "b2278fe98575f12bedbff12e4c10f481ccc76177f28910f878763aefb32cb108",
+    (10**199 + 4983, 5): "bd6fd1e7c78929e5c8cdb1bad1cf694588cfd1641b6a44ecabcceabbf4c94dec",
+    (10**199 + 4983, 6): "653c22ee96559efb1ca62c0f499b7b69cb4410521c2b4015aff23f61392aad83",
+}
+
+
+# 5, 3 (mod 8); 9, 7 (mod 16); a 200-digit 7 (mod 16) prime
+@pytest.mark.parametrize("p", [13, 11, 89, 71, 10**199 + 4983])
+def test_lambda1_at_levels_5_to_12(p):
+    scale = pell.solve_pell(p).a if p % 16 in (7, 9) else p
+    for n in range(5, 13):
+        code, text = run_cli("lambda1", "--p", str(p), "--n", str(n))
+        assert code == 0
+        data = json.loads(text)
+        lam = int(data["lambda1_squared"])
+        assert lam == (1 << n) * scale
+        ring = cyclotomic(n)
+        assert data["witness"]["ring"] == ring.name == f"zeta{2 ** (n + 1)}"
+        witness = element(ring, [int(c) for c in data["witness"]["coeffs"]])
+        assert canonical_sq_length(witness) == lam
+        assert data["certified"] is False  # rank 2^n is above the enumeration cap
+        if n <= 6:
+            assert hashlib.sha256(text.encode()).hexdigest() == _LEVEL_5_6_SHA256[p, n]
 
 
 def test_classify_uncovered_exits_2():

@@ -411,6 +411,35 @@ def test_canonical_torsion_rep_is_the_least_of_all_2d_rotations(n):
         assert canonical_torsion_rep(w).coeffs == best
 
 
+def _sparse_witnesses(ring, rng):
+    """Random sparse elements, and periodic ones whose rotations tie."""
+    d = ring.degree
+    out = []
+    for size in (1, 2, 5):
+        c = [0] * d
+        for j in rng.sample(range(d), size):
+            c[j] = rng.choice((-5, -1, 1, 4))
+        out.append(c)
+    for period in (d // 4, d // 64):  # c[i + period] = +-c[i]
+        block = [0] * period
+        block[rng.randrange(period)] = 3
+        block[rng.randrange(period)] = -1
+        sign = rng.choice((1, -1))
+        out.append([v * sign ** (i // period) for i, v in enumerate(block * (d // period))])
+    return [element(ring, c) for c in out]
+
+
+@pytest.mark.parametrize("n", [9, 10, 11])
+def test_canonical_torsion_rep_of_sparse_witnesses_at_high_levels(n):
+    """Brute force over the rotations zeta^j * w, j < d, by zeta_shift;
+    sign normalization covers zeta^(j+d) * w = -zeta^j * w."""
+    ring = cyclotomic(n)
+    for w in _sparse_witnesses(ring, random.Random(n)):
+        best = min(canonical_coeffs(rings.zeta_shift(w, j).coeffs)
+                   for j in range(ring.degree))
+        assert canonical_torsion_rep(w).coeffs == best
+
+
 def test_canonical_torsion_rep_off_the_cyclotomic_rings_is_the_sign():
     for ring in (QUAD_SQRT2, QUARTIC_THETA):
         w = element(ring, [-3, 1, 0, 2][: ring.degree])

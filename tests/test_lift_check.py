@@ -13,10 +13,12 @@ from cyclosvp.lattice import (
     lift_ideal_lattice,
     lift_lattice_basis,
     lll_reduce,
+    prime_ideal_from_factor,
+    prime_ideal_lattice,
     principal_ideal_lattice,
     svp_enumerate,
 )
-from cyclosvp.ntheory import class_label, classify_prime
+from cyclosvp.ntheory import class_label, classify_prime, sieve_primes
 from cyclosvp.rings import (
     CYCLO_EIGHTH,
     GAUSSIAN_INT,
@@ -153,9 +155,9 @@ def test_each_tower_lattice_is_reduced_and_checked_once(monkeypatch, label):
     reduced = _record(monkeypatch, "lll_reduce", lattice, idealsvp)
     res = lambda1_squared(p, 4)
     assert res.witness.cross_checked
-    # no HNF of a rank-8 or rank-16 lift is taken; the base lattice comes
-    # from its builder already in HNF, and is reduced once
-    assert max(dims, default=0) <= 4
+    # no HNF is taken on the tower path: every base lattice, the 3 (mod 8)
+    # ones included, comes from its builder already in HNF, and is reduced once
+    assert dims == []
     base_hnfs = [lat for lat in reduced
                  if lat.rank <= 4 and lat.rows() == real_hnf(lat.rows(), lat.ring.degree)]
     assert len(base_hnfs) == 1
@@ -220,3 +222,28 @@ def test_lift_check_refuses_a_vector_of_another_length(monkeypatch, p, n):
     monkeypatch.setattr(idealsvp, "svp_enumerate", misreport)
     with pytest.raises(ConsistencyError, match="squared length"):
         lambda1_squared(p, n)
+
+
+@pytest.mark.parametrize("p", [p for p in sieve_primes(1000) if p % 8 == 3]
+                         + [BIG_PRIME["3mod8"]])
+def test_a_3_mod_8_base_is_the_principal_ideal_of_its_witness(p):
+    # (a + b sqrt(-2)) = (p, zeta^2 + (a/b) zeta - 1) in zeta8, and (p) in Z[i]
+    for n, ring in ((1, GAUSSIAN_INT), (2, CYCLO_EIGHTH)):
+        lat, w, _, _ = idealsvp._base_witness(p, "3mod8", n, None)
+        assert lat.ring is ring and lat.basis == principal_ideal_lattice(ring, w).basis
+
+
+@pytest.mark.parametrize("p", [p for p in sieve_primes(1000) if p % 16 == 7]
+                         + [BIG_PRIME["7mod16"]])
+def test_the_zeta16_extension_is_the_lifted_theta16_ideal(monkeypatch, p):
+    # (p, t - r) * Z[zeta16] = (p, zeta^2 - r zeta - 1), as t = zeta - zeta^-1
+    for r in idealsvp._theta_roots(p, idealsvp.class_sqrt):
+        lifted = lift_ideal_lattice(prime_ideal_lattice(QUARTIC_THETA, p, r), cyclotomic(3))
+        built = prime_ideal_from_factor(cyclotomic(3), p, [p - 1, -r % p, 1])
+        assert built.basis == lifted.basis
+
+    def no_lift(*args):
+        raise AssertionError("zeta16_lift_check must not lift the ideal")
+
+    monkeypatch.setattr(lattice, "_zeta_multiples", no_lift)
+    assert idealsvp.zeta16_lift_check(p).passed

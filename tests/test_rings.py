@@ -15,6 +15,7 @@ from cyclosvp.rings import (
     apply_automorphism,
     as_sqrt2_pair,
     automorphism_indices,
+    canonical_inner,
     canonical_sq_length,
     conjugate,
     cyclotomic,
@@ -60,6 +61,30 @@ def test_conjugate_product_chain_over_89():
     for i in automorphism_indices(CYCLO_EIGHTH):
         prod = mul(prod, apply_automorphism(x, i))
     assert prod == integer(CYCLO_EIGHTH, 89)
+
+
+def _mul_by_long_division(x, y):
+    """Reference product: the full polynomial product, then the remainder
+    of dividing by the monic defining polynomial, one degree at a time."""
+    poly, d = x.ring.poly, x.ring.degree
+    prod = [0] * (2 * d - 1)
+    for i, a in enumerate(x.coeffs):
+        for j, b in enumerate(y.coeffs):
+            prod[i + j] += a * b
+    for k in range(2 * d - 2, d - 1, -1):
+        q = prod[k]
+        for t in range(d + 1):
+            prod[k - d + t] -= q * poly[t]
+        assert prod[k] == 0
+    return prod[:d]
+
+
+@pytest.mark.parametrize("ring", ALL_RINGS)
+def test_mul_equals_long_division_by_the_defining_polynomial(ring):
+    rng = random.Random(7 * ring.degree)
+    for _ in range(200):
+        x, y = rand_elem(ring, rng, 10**12), rand_elem(ring, rng, 10**12)
+        assert list(mul(x, y).coeffs) == _mul_by_long_division(x, y)
 
 
 def test_mul_ring_mismatch():
@@ -206,6 +231,51 @@ def test_torsion_invariance_and_isometry(ring):
             assert canonical_sq_length(y) == base
         for i in automorphism_indices(ring):
             assert canonical_sq_length(apply_automorphism(x, i)) == base
+
+
+# The canonical forms as dense Gram matrices, with the values derived from
+# them: gram_scale, torsion_order, has_sqrt2.
+_DENSE_FORMS = {
+    GAUSSIAN_INT: (((2, 0), (0, 2)), 2, 4, False),
+    QUAD_SQRT2: (((2, 0), (0, 4)), 2, 2, True),
+    CYCLO_EIGHTH: (tuple(tuple(4 * (i == j) for j in range(4)) for i in range(4)), 4, 8, True),
+    QUARTIC_THETA: (((4, 0, -8, 0), (0, 8, 0, -24), (-8, 0, 24, 0), (0, -24, 0, 80)),
+                    4, 2, True),
+}
+
+
+@pytest.mark.parametrize("ring", ALL_RINGS)
+def test_ring_values_derive_from_its_form(ring):
+    d = ring.degree
+    if ring.cyclo_level is None or d <= 4:
+        gram, scale, torsion, sqrt2 = _DENSE_FORMS[ring]
+    else:
+        gram = tuple(tuple(d * (i == j) for j in range(d)) for i in range(d))
+        scale, torsion, sqrt2 = d, 2 * d, True
+    assert ring.gram == gram
+    assert (ring.gram_scale, ring.torsion_order, ring.has_sqrt2) == (scale, torsion, sqrt2)
+    rng = random.Random(d)
+    for _ in range(50):
+        x, y = rand_elem(ring, rng), rand_elem(ring, rng)
+        assert canonical_inner(x, y) == sum(
+            a * gram[i][j] * b for i, a in enumerate(x.coeffs) for j, b in enumerate(y.coeffs)
+        )
+
+
+def _stored_ints(value) -> int:
+    if isinstance(value, tuple):
+        return sum(_stored_ints(v) for v in value)
+    return 1
+
+
+def test_a_cyclotomic_ring_stores_its_form_in_linear_size():
+    ring = cyclotomic(16)
+    d = ring.degree
+    assert d == 1 << 16
+    assert sum(len(row) for row in ring.gram_nonzero) == d
+    assert all(row == ((i, d),) for i, row in enumerate(ring.gram_nonzero))
+    # every slot together holds O(d) integers: no d x d or (d-1) x d table
+    assert sum(_stored_ints(getattr(ring, name)) for name in type(ring).__slots__) < 5 * d
 
 
 # --- units ----------------------------------------------------------------
