@@ -33,11 +33,11 @@ the tower that sees them and lifted: the shortest vector of an ideal is
 still shortest after extension to any higher level, with the squared
 length scaling by the degree ratio.
 
-At every level the witness is checked to lie in its base ideal, by
-back-substitution against the base HNF (the lift is the inclusion, so
-this covers the lifted ideal), and every certificate at rank <= 16 is
-confirmed by independent Schnorr-Euchner enumeration; a mismatch raises
-ConsistencyError and is never silently resolved.
+One function, _certify, certifies every answer, the enumeration fallback
+(p = 1, 15 mod 16) included: the witness is checked to lie in its base
+ideal against the base HNF (the lift is the inclusion, so this covers the
+lifted ideal) and confirmed at rank <= 16 by Schnorr-Euchner enumeration;
+a mismatch with the formula (_formula) raises ConsistencyError.
 """
 
 from __future__ import annotations
@@ -434,7 +434,8 @@ def svsg_verify(ring: Ring, norm_bound: int) -> SvsgReport:
 def _base_witness(p: int, label: str, n: int, root_hint: int | None):
     """(base HNF lattice, witness, base_sq, method) in the smallest ring of
     the tower that contains the shortest vector.  For p = 7, 9 (mod 16)
-    witness and base_sq are None: _certify enumerates the reduced base."""
+    and the fallback's base at level n (p = 1, 15 mod 16) witness and
+    base_sq are None: _certify enumerates the reduced base."""
     if label == "5mod8" or (label == "9mod16" and n == 1):
         a, b = cornacchia_descent(p, 1, class_sqrt(-1, p))
         r0 = (-a * pow(b, -1, p)) % p
@@ -469,8 +470,8 @@ def _base_witness(p: int, label: str, n: int, root_hint: int | None):
         if not roots:
             raise ConsistencyError(f"theta quartic has no roots mod {p}")
         r = roots[0]
-    else:
-        raise DomainError(f"no witness construction for class {label}")
+    else:  # no formula: the enumeration fallback
+        return _fallback_base(p, n), None, None, "enumeration"
     return prime_ideal_lattice(ring, p, r), None, None, "enumeration"
 
 
@@ -546,39 +547,52 @@ def _lift_check(base: Callable[[], IntegerLattice], w: RingElement, sq: int,
     return w_lift, expected, cert
 
 
-def _certify(rc: ResidueClass, n: int, root_hint: int | None,
-             pell: PellSolution | None) -> SvpCertificate:
-    """shortest_vector for a (p, n) that _require_covered accepted, with
-    pell = _pell_if_solvable(p).  A 7, 9 (mod 16) base is LLL-reduced once,
-    for its own enumeration and for the lift check."""
+def _certify(rc: ResidueClass, n: int, root_hint: int | None) -> SvpCertificate:
+    """The one certification of a lambda1 answer, for a (p, n) that
+    _require_covered accepted; a base without a witness is LLL-reduced
+    once, for its own enumeration and for the lift check.
+    ``cross_checked`` (printed as ``certified``) means that enumeration at
+    level n agreed and that a formula (rc.supported) is there to compare:
+    a fallback answer is an exact enumeration, but not certified."""
     base_lat, w, base_sq, method = _base_witness(rc.p, rc.label, n, root_hint)
     base, found, target = base_lat, None, cyclotomic(n)
     if w is None:
         base = lll_reduce(base_lat)
         found = svp_enumerate(base)
         w, base_sq = found.vector, found.sq_length
-        if base_sq != 4 * pell.a:
-            raise ConsistencyError(
-                f"enumeration found {base_sq} != 4 a_p = {4 * pell.a} for p={rc.p}"
-            )
     if not contains(base_lat, w):
         raise ConsistencyError(f"witness lies outside the base ideal over p={rc.p}")
-    if found is not None and base.ring is target:  # 9 (mod 16) at n = 2
-        return SvpCertificate(found.vector, base_sq, method, True)
+    if found is not None and base.ring is target:  # 9 (mod 16) at n = 2, the fallback
+        return SvpCertificate(w, base_sq, method, rc.supported)
     w_lift, expected, cert = _lift_check(lambda: base, w, base_sq, target)
     if cert is None:
         return SvpCertificate(canonical_torsion_rep(w_lift), expected, method, False)
-    return SvpCertificate(cert.vector, expected, method, True)
+    return SvpCertificate(cert.vector, expected, method, rc.supported)
+
+
+def _formula(rc: ResidueClass, n: int, pell: PellSolution | None):
+    """(lambda1^2, new-bound radicand, Minkowski radicand) by the length
+    formula of a covered class at level n; the radicands are None unless
+    the formula uses a_p, and then the chain lambda1^4 < 2^(2n+1) p <
+    2^(4n) p is checked.  Below the class's min_level (n = 1) the value
+    is that of the inert ideal (p), or of the split Z[i] case."""
+    p = rc.p
+    if n < rc.min_level:
+        return (2 * p * p if rc.class_mod8 == 3 else 2 * p), None, None
+    if not rc.uses_a_p:
+        return (1 << n) * p, None, None
+    lam = (1 << n) * pell.a
+    new_rad, mink_rad = (1 << (2 * n + 1)) * p, (1 << (4 * n)) * p
+    if not lam * lam < new_rad < mink_rad:
+        raise ConsistencyError(f"bound chain violated at p={p}, n={n}")
+    return lam, new_rad, mink_rad
 
 
 def shortest_vector(p: int, n: int, root_hint: int | None = None) -> SvpCertificate:
-    """Shortest-vector witness for the prime ideal over p at tower level n.
-
-    Built in the minimal subring (Cornacchia representation or rank-4
-    enumeration), lifted to Z[zeta_{2^(n+1)}], and re-enumerated at the
-    target rank when it is <= 16 (cross_checked records this).
-    """
-    return _certify(_require_covered(p, n), n, root_hint, _pell_if_solvable(p))
+    """Shortest-vector witness for the prime ideal over p at tower level n:
+    lambda1_squared's, so both share one admission, one certification and
+    one comparison with the formula."""
+    return lambda1_squared(p, n, root_hint).witness
 
 
 @dataclass(frozen=True)
@@ -609,30 +623,21 @@ def lambda1_squared(
     Covered classes dispatch to the closed formulas above; the witness is
     cross-checked by enumeration whenever the rank is <= 16.  Uncovered
     classes (p = 1, 15 mod 16) raise DomainError unless
-    ``enumerate_fallback`` is set, in which case pure enumeration is used
-    and no bound radicands are reported.
+    ``enumerate_fallback`` is set; then the enumeration of the fallback
+    base is the answer and no bound radicands are reported.
     """
     rc = _require_covered(p, n, enumerate_fallback)
     pell = _pell_if_solvable(p)
+    witness = _certify(rc, n, root_hint)
     if not rc.supported:
-        cert = _fallback_enumerate(p, n)
-        return Lambda1Result(p, n, rc, cert.sq_length, cert, None, None,
+        return Lambda1Result(p, n, rc, witness.sq_length, witness, None, None,
                              "enumeration fallback; no formula for this class", pell)
-    new_rad = mink_rad = note = None
-    if n < rc.min_level:  # level 1: the inert ideal (p), or the split Z[i] case
-        lam, note = (2 * p * p if rc.class_mod8 == 3 else 2 * p), rc.level1_note
-    else:
-        lam = (1 << n) * (pell.a if rc.uses_a_p else p)
-        if rc.uses_a_p:
-            new_rad = (1 << (2 * n + 1)) * p
-            mink_rad = (1 << (4 * n)) * p
-    witness = _certify(rc, n, root_hint, pell)
+    lam, new_rad, mink_rad = _formula(rc, n, pell)
     if witness.sq_length != lam:
         raise ConsistencyError(
             f"formula gives {lam} but witness has length {witness.sq_length}"
         )
-    if new_rad and lam * lam >= new_rad:
-        raise ConsistencyError(f"bound lambda1^4 < 2^(2n+1) p violated at p={p}, n={n}")
+    note = rc.level1_note if n < rc.min_level else None
     return Lambda1Result(p, n, rc, lam, witness, new_rad, mink_rad, note, pell)
 
 
@@ -689,12 +694,7 @@ def bounds(p: int, n: int) -> BoundsResult:
         )
     if n < rc.min_level:
         raise DomainError(f"class {rc.label} needs level n >= {rc.min_level}, got {n}")
-    a_p = _pell_if_solvable(p).a
-    lam = (1 << n) * a_p
-    new_rad = (1 << (2 * n + 1)) * p
-    mink_rad = (1 << (4 * n)) * p
-    if not (lam * lam < new_rad < mink_rad):
-        raise ConsistencyError(f"bound chain violated at p={p}, n={n}")
+    lam, new_rad, mink_rad = _formula(rc, n, _pell_if_solvable(p))
     return BoundsResult(
         p,
         n,
@@ -754,7 +754,7 @@ def zeta16_lift_check(p: int) -> LiftCheckReport:
 
 
 # ---------------------------------------------------------------------------
-# enumeration fallback for uncovered classes (p = 1, 15 mod 16)
+# enumeration fallback base for uncovered classes (p = 1, 15 mod 16)
 
 
 def _gf2_mul(x, y, p, q):
@@ -797,7 +797,10 @@ def _degree2_prime_lattice(p: int, n: int) -> IntegerLattice:
     return prime_ideal_from_factor(ring, p, g)
 
 
-def _fallback_enumerate(p: int, n: int) -> SvpCertificate:
+def _fallback_base(p: int, n: int) -> IntegerLattice:
+    """The tower base of an uncovered class: a prime ideal over p of
+    residue degree 1 or 2 in Z[zeta_{2^(n+1)}] itself, for _certify to
+    enumerate, so the rank is capped."""
     ring = cyclotomic(n)
     d = ring.degree
     if d > max_enumeration_rank():
@@ -806,14 +809,10 @@ def _fallback_enumerate(p: int, n: int) -> SvpCertificate:
         )
     order = 2 * d
     if (p - 1) % order == 0:
-        lat = prime_ideal_lattice(ring, p, root_of_minus_one(p, n))
-    elif (p * p - 1) % order == 0:
-        lat = _degree2_prime_lattice(p, n)
-    else:
-        raise DomainError(
-            f"no prime ideal of residue degree <= 2 over {p} at level {n}"
-        )
-    return svp_enumerate(lat)
+        return prime_ideal_lattice(ring, p, root_of_minus_one(p, n))
+    if (p * p - 1) % order == 0:
+        return _degree2_prime_lattice(p, n)
+    raise DomainError(f"no prime ideal of residue degree <= 2 over {p} at level {n}")
 
 
 # ---------------------------------------------------------------------------

@@ -381,15 +381,19 @@ def gauss_reduce_gram(gram) -> tuple[tuple[tuple[int, int], ...], list[list[int]
             return ((a, b), (b, c)), u
 
 
+def _coords_to_row(coords, rows, d):
+    out = [0] * d
+    for xi, row in zip(coords, rows):
+        if xi:
+            for j in range(d):
+                out[j] += xi * row[j]
+    return out
+
+
 def _apply_transform(lat: IntegerLattice, u: list[list[int]], gso=None) -> IntegerLattice:
     rows = lat.rows()
-    n = len(rows)
     d = lat.ring.degree
-    new_rows = [
-        [sum(u[i][k] * rows[k][j] for k in range(n)) for j in range(d)]
-        for i in range(n)
-    ]
-    basis = tuple(element(lat.ring, r) for r in new_rows)
+    basis = tuple(element(lat.ring, _coords_to_row(c, rows, d)) for c in u)
     return IntegerLattice(
         lat.ring, basis, _gram_matrix(lat.ring, basis), lat.ideal_meta,
         tuple(tuple(r) for r in u), gso,
@@ -558,15 +562,6 @@ def canonical_coeffs(coeffs) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
-def _coords_to_row(coords, rows, d):
-    out = [0] * d
-    for xi, row in zip(coords, rows):
-        if xi:
-            for j in range(d):
-                out[j] += xi * row[j]
-    return out
-
-
 def _short_vectors(lat: IntegerLattice, radius_sq: int | None, shrink: bool):
     """Yield (sq_length, row) for the nonzero vectors of ``lat`` with
     squared canonical length <= radius_sq, one per +/- pair, each row
@@ -633,14 +628,3 @@ def svp_with_doubling(lat: IntegerLattice, radius_sq: int, retries: int = 4) -> 
             radius_sq *= 2
     raise RadiusExhausted(f"no vector found within {retries} doublings")
 
-
-def lattice_to_json(lat: IntegerLattice) -> dict:
-    data = {
-        "ring": lat.ring.name,
-        "basis": [[str(c) for c in b.coeffs] for b in lat.basis],
-        "gram": [[str(v) for v in row] for row in lat.gram],
-    }
-    if lat.ideal_meta:
-        data["p"] = str(lat.ideal_meta[0])
-        data["r"] = None if lat.ideal_meta[1] is None else str(lat.ideal_meta[1])
-    return data

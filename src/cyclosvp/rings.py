@@ -379,7 +379,12 @@ def _basis_images(source: Ring, target: Ring) -> tuple[tuple[tuple[int, int], ..
     """The images of source's power basis 1, th, ..., th^(d-1) under the
     fixed embedding into target, as (place, coefficient) pairs of their
     nonzero coefficients: the columns of the embedding's matrix, built
-    once per (source, target) pair from the generator's image."""
+    once per (source, target) pair from the generator's image.  From a
+    cyclotomic source that image is the single place zeta^r, r the degree
+    ratio, so th^i goes to place i r."""
+    r = target.degree // source.degree
+    if r and source.cyclo_level is not None and target.cyclo_level is not None:
+        return tuple(((i * r, 1),) for i in range(source.degree))
     g = _generator_image(source, target)
     images, cur = [], one(target)
     for _ in range(source.degree):

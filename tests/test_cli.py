@@ -59,6 +59,50 @@ def test_lambda1_enumeration_fallback_at_60_digits():
     assert lam * lam >= 16 * p  # AM-GM: lambda1^2 >= d N^(2/d) with d = 4
 
 
+# sha256 over n = 1..5 of each `lambda1 --enumerate-fallback` run's exit
+# code and stdout (f"{code}\n{stdout}"), recorded from the implementation
+# in which the fallback certified its answers outside the tower's route
+_FALLBACK_SHA256 = {
+    17: "5d2bf3f8a853c311d58dbd61484e7a80e31b8e776cae02003127b84fde92455b",
+    31: "bf83600b727a43836068f9c027358f646840ccca3fc9096d4bf12b2b8dc4dd1f",
+    47: "5e51b7beb0df1f82e5f7f8b340bc1e7da411bd9893af57a71688f13c30160d58",
+    97: "0295fd013646f1168844a4ab63b058b06cbb69085f6bf60346ec8fa60a4ca01b",
+    113: "6cd2b2847ed89dbf28aa56438bec644731b3e68886aea2deaa681db74270dece",
+    127: "ff5afd2c37c735b627eb677e38f732ad740e6bc1bf62d202a245f4155435b09c",
+    193: "bd31dc5c9265da97c878aa882ad7a37282c04e731b9c64817e67c1253dcd1f9b",
+    257: "0c8faeb80bf9406ef26f3ddf2c5fb95a3e2d92bf74307d4cbe3365fb91e0dfda",
+}
+
+
+@pytest.mark.parametrize("p", sorted(_FALLBACK_SHA256))
+def test_enumeration_fallback_output_is_pinned(p):
+    digest = hashlib.sha256()
+    for n in range(1, 6):
+        code, text = run_cli("lambda1", "--p", str(p), "--n", str(n), "--enumerate-fallback")
+        assert code == (2 if n == 5 else 0)  # rank 32 is above the enumeration cap
+        data = json.loads(text)
+        if code == 0:
+            assert data["certified"] is False and data["method"] == "enumeration"
+        digest.update(f"{code}\n{text}".encode())
+    assert digest.hexdigest() == _FALLBACK_SHA256[p]
+
+
+def test_shortest_prints_the_lambda1_witness():
+    covered = [p for p in ntheory.sieve_primes(300)[1:] if ntheory.classify_prime(p).supported]
+    for p in covered:
+        for n in range(1, 7):
+            code, text = run_cli("lambda1", "--p", str(p), "--n", str(n))
+            s_code, s_text = run_cli("shortest", "--p", str(p), "--n", str(n))
+            assert s_code == code
+            if code:  # the same refusal: p = 7 (mod 16) below level 3
+                assert s_text == text
+                continue
+            lam, short = json.loads(text), json.loads(s_text)
+            assert short["sq_length"] == lam["lambda1_squared"]
+            for key in ("witness", "method", "certified"):
+                assert short[key] == lam[key]
+
+
 # sha256 of the `lambda1` stdout at n = 5, 6, recorded from the
 # implementation that kept dense d x d Gram and reduction tables
 _LEVEL_5_6_SHA256 = {

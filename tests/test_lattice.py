@@ -798,12 +798,3 @@ def test_basis_rows_vanish_at_the_root():
         for b in lat.basis:
             assert sum(c * pow(r, j, p) for j, c in enumerate(b.coeffs)) % p == 0
 
-
-def test_lattice_json():
-    from cyclosvp.lattice import lattice_to_json
-
-    lat = prime_ideal_lattice(QUAD_SQRT2, 7, 4)
-    data = lattice_to_json(lat)
-    assert data["ring"] == "zsqrt2" and data["p"] == "7" and data["r"] == "4"
-    assert data["basis"] == [["7", "0"], ["3", "1"]]
-    assert all(isinstance(v, str) for row in data["gram"] for v in row)
