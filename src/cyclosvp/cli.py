@@ -12,9 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
 from functools import lru_cache
 
@@ -36,6 +34,7 @@ from .ntheory import (
     class_label,
     classify_prime,
     is_probable_only,
+    require_level,
     sieve_primes,
     sqrt_mod,
 )
@@ -179,27 +178,18 @@ def table_row(p: int, n: int) -> dict:
     return row
 
 
-def _table_worker(job: tuple[int, int]) -> dict:
-    return table_row(*job)
-
-
-def emit_table(pmax: int, classes: set[str], n: int, jobs: int = 1) -> list[dict]:
+def emit_table(pmax: int, classes: set[str], n: int) -> list[dict]:
     """Rows for every covered prime <= pmax whose class is requested and
-    admits level n, ordered by p.  At most os.cpu_count() workers run."""
+    admits level n, ordered by p."""
     if pmax < 3:
         raise DomainError("--pmax must be at least 3")
-    if n < 1:
-        raise DomainError(f"tower level must be >= 1, got {n}")
-    work = []
+    require_level(n)
+    rows = []
     for p in sieve_primes(pmax)[1:]:  # odd primes
         label = class_label(p)
         if label in classes and label in COVERAGE and n >= COVERAGE[label].min_level:
-            work.append((p, n))
-    jobs = min(jobs, os.cpu_count() or 1)
-    if jobs > 1 and len(work) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_table_worker, work))
-    return [table_row(p, n) for p, n in work]
+            rows.append(table_row(p, n))
+    return rows
 
 
 def _cmd_table(args) -> list[dict]:
@@ -207,7 +197,7 @@ def _cmd_table(args) -> list[dict]:
     unknown = classes - set(COVERAGE)
     if unknown:
         raise DomainError(f"unknown class labels: {sorted(unknown)}")
-    return emit_table(args.pmax, classes, args.n, args.jobs)
+    return emit_table(args.pmax, classes, args.n)
 
 
 def _print_table(rows: list[dict], fmt: str, out) -> None:
@@ -260,7 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, default=2)
     sp.add_argument("--classes", default=",".join(COVERAGE),
                     help=f"comma list from {{{','.join(COVERAGE)}}}")
-    sp.add_argument("--jobs", type=int, default=1, help="parallel workers across primes")
     sp.add_argument("--format", choices=("json", "csv"), default="csv")
     return parser
 

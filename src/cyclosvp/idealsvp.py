@@ -68,6 +68,7 @@ from .ntheory import (
     classify_prime,
     is_prime,
     _zeta8_root,
+    require_level,
     root_of_minus_one,
     sieve_primes,
     sqrt_mod,
@@ -168,8 +169,10 @@ def cornacchia_descent(p: int, d: int, r: int) -> tuple[int, int]:
 
 
 def theta_roots(p: int) -> list[int]:
-    """Roots of x^4 + 4x^2 + 2 mod p (sorted).  Nonempty iff p = 1, 7
-    (mod 16), where the quartic splits completely."""
+    """Roots of x^4 + 4x^2 + 2 mod the odd prime p (sorted).  Nonempty iff
+    p = 1, 7 (mod 16), where the quartic splits completely."""
+    if p == 2 or not is_prime(p):
+        raise DomainError(f"{p} is not an odd prime")
     return _theta_roots(p, sqrt_mod)
 
 
@@ -215,9 +218,10 @@ def _window_min(g: RingElement) -> tuple[int, int, RingElement]:
     Returns (min_sq, m, g * eps^m), with the smallest m on a tie.  The
     value is scale * u_m, where u_m + v_m sqrt2 = c * t^m (t = eps^2) and
     u_m = (A t^m + B t^(-m)) / 2 with A, B the two real embeddings of c,
-    which is strictly convex in m.  The walk starts at an estimate of
-    x0 = log_t(B/A) / 2 taken from bit lengths and moves while the exact
-    integer u_m does not increase.
+    which is strictly convex in m.  The walk starts at m = 0 and moves
+    while the exact integer u_m does not increase; by convexity it reaches
+    the same minimum from any start.  Its caller passes the shortest
+    generator that enumeration found, so the walk is short.
     """
     ring = g.ring
     base_sq = canonical_sq_length(g)
@@ -231,16 +235,7 @@ def _window_min(g: RingElement) -> tuple[int, int, RingElement]:
     norm = u0 * u0 - 2 * v0 * v0  # A * B
     if u0 <= 0 or norm <= 0:
         raise ConsistencyError("generator square is not totally positive")
-    # log2(max(A, B)) ~ bits(u0) and A * B = norm, so
-    # |log2(B/A)| ~ 2 bits(u0) - bits(norm); log2(t) ~ 2.543
-    gap = 2 * u0.bit_length() - norm.bit_length()
-    m = (gap * 1000 + 2543) // 5086
-    if v0 > 0:  # A > B: shrink A with negative powers
-        m = -m
-
-    u, v = u0, v0
-    for _ in range(abs(m)):
-        u, v = _pair_step(u, v, up=m > 0)
+    u, v, m = u0, v0, 0
     while True:  # down while not increasing: the smallest m on a tie
         du, dv = _pair_step(u, v, up=False)
         if du > u:
@@ -479,8 +474,7 @@ def _require_covered(p: int, n: int, enumerate_fallback: bool = False) -> Residu
     """Classify p and check n against the class table, once per query; an
     uncovered class passes only when the caller enumerates instead."""
     rc = classify_prime(p)
-    if n < 1:
-        raise DomainError(f"tower level must be >= 1, got {n}")
+    require_level(n)
     if not rc.supported:
         if enumerate_fallback:
             return rc
@@ -694,6 +688,7 @@ def bounds(p: int, n: int) -> BoundsResult:
         )
     if n < rc.min_level:
         raise DomainError(f"class {rc.label} needs level n >= {rc.min_level}, got {n}")
+    require_level(n)
     lam, new_rad, mink_rad = _formula(rc, n, _pell_if_solvable(p))
     return BoundsResult(
         p,

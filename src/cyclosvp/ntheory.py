@@ -288,6 +288,19 @@ COVERAGE = {
     "7mod16": Coverage(3, True),
 }
 
+# The highest tower level a query accepts: the level-n ring has rank 2^n,
+# and each level about doubles the time and memory of the last (lambda1
+# --p 89 takes 2.5 s and 262 MB at n = 20; n = 30 cannot finish).
+MAX_LEVEL = 20
+
+
+def require_level(n: int) -> None:
+    """DomainError unless 1 <= n <= MAX_LEVEL."""
+    if n < 1:
+        raise DomainError(f"tower level must be >= 1, got {n}")
+    if n > MAX_LEVEL:
+        raise DomainError(f"tower level must be <= {MAX_LEVEL}, got {n}")
+
 
 def class_label(p: int) -> str:
     """Short label of the residue class: '5mod8', '9mod16', ..."""

@@ -1,10 +1,13 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from cyclosvp import cli, idealsvp, ntheory, pell
+from cyclosvp import cli, idealsvp, ntheory, pell, rings
 from cyclosvp.errors import ConsistencyError
 from cyclosvp.rings import canonical_sq_length, cyclotomic, element, field_norm
 
@@ -258,41 +261,22 @@ def test_table_json_round_trip():
         assert row["a_p"] == "" and row["bound_new"] == ""
 
 
-def test_table_jobs_deterministic():
-    args = ("table", "--pmax", "100", "--classes", "9mod16", "--n", "2")
-    _, serial = run_cli(*args, "--jobs", "1")
-    _, parallel = run_cli(*args, "--jobs", "2")
-    assert serial == parallel
+def test_table_jobs_is_a_usage_error():
+    with pytest.raises(SystemExit) as exc:
+        cli.run(["table", "--pmax", "30", "--n", "2", "--jobs", "2"])
+    assert exc.value.code == 2
 
 
-def test_table_jobs_clamped_to_cpu_count(monkeypatch):
-    sizes = []
-
-    class RecordingPool:
-        """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
-
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
-    args = ("table", "--pmax", "100", "--classes", "9mod16", "--n", "2")
-    _, serial = run_cli(*args)
-    _, clamped = run_cli(*args, "--jobs", "100000")
-    assert sizes == [3] and clamped == serial
-    # one core (or an unknown count): no pool at all
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
-    _, single = run_cli(*args, "--jobs", "8")
-    assert sizes == [3] and single == serial
+def test_cli_import_loads_no_process_pool():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import cyclosvp.cli; "
+        "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') "
+        "if m in sys.modules))"
+    )
+    done = subprocess.run([sys.executable, "-I", "-c", code],
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"
 
 
 def test_table_level_below_one_exits_2():
@@ -301,6 +285,28 @@ def test_table_level_below_one_exits_2():
         assert (code, data) == (2, {"error": "tower level must be >= 1, got 0"})
     code, data = run_json("table", "--pmax", "300", "--n", "-1")
     assert (code, data) == (2, {"error": "tower level must be >= 1, got -1"})
+
+
+def test_level_above_max_exits_2_without_building_a_ring(monkeypatch):
+    def refuse(k):
+        raise AssertionError(f"cyclotomic({k}) built")
+
+    monkeypatch.setattr(rings, "cyclotomic", refuse)
+    monkeypatch.setattr(idealsvp, "cyclotomic", refuse)
+    assert ntheory.MAX_LEVEL == 20
+    for argv in (
+        ("lambda1", "--p", "89", "--n", "21"),
+        ("lambda1", "--p", "17", "--n", "21", "--enumerate-fallback"),
+        ("shortest", "--p", "89", "--n", "21"),
+        ("bounds", "--p", "89", "--n", "21"),
+        ("table", "--pmax", "30", "--n", "21"),
+    ):
+        code, data = run_json(*argv)
+        assert (code, data) == (2, {"error": "tower level must be <= 20, got 21"}), argv
+    code, data = run_json("bounds", "--p", "89", "--n", "4000")
+    assert (code, data) == (2, {"error": "tower level must be <= 20, got 4000"})
+    code, data = run_json("bounds", "--p", "89", "--n", "20")  # the limit itself is admitted
+    assert code == 0 and data["lambda1_squared"] == str(11 << 20)
 
 
 def test_parser_is_built_once_per_process(monkeypatch):

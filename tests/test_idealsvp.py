@@ -29,7 +29,7 @@ from cyclosvp.lattice import (
     principal_ideal_lattice,
     svp_enumerate,
 )
-from cyclosvp.ntheory import is_prime, sieve_primes, sqrt_mod
+from cyclosvp.ntheory import is_prime, root_of_minus_one, sieve_primes, sqrt_mod
 from cyclosvp.pell import solve_pell
 from cyclosvp.rings import (
     CYCLO_EIGHTH,
@@ -43,6 +43,7 @@ from cyclosvp.rings import (
     lift_element,
     mul,
     torsion_generator,
+    unit,
 )
 
 
@@ -260,6 +261,24 @@ def test_shortest_generator_examples():
     c = shortest_generator(89, CYCLO_EIGHTH, 12)
     assert c.sq_length == 44
     assert abs(field_norm(c.vector)) == 89
+
+
+@pytest.mark.parametrize(
+    "ring, primes, root",
+    [
+        (QUAD_SQRT2, (7, 17, 23, 41, 89), lambda p: sqrt_mod(2, p)),
+        (CYCLO_EIGHTH, (17, 41, 89, 97), lambda p: root_of_minus_one(p, 2)),
+        (QUARTIC_THETA, (7, 23, 71), lambda p: theta_roots(p)[0]),
+    ],
+    ids=("zsqrt2", "zeta8", "theta16"),
+)
+def test_window_min_is_reached_from_any_unit_multiple(ring, primes, root):
+    for p in primes:
+        g = shortest_generator(p, ring, root(p)).vector
+        min_sq, _, g_best = idealsvp._window_min(g)
+        for k in range(-25, 26):
+            sq, _, best = idealsvp._window_min(mul(g, unit(ring, 0, k)))
+            assert (sq, best.coeffs) == (min_sq, g_best.coeffs), (p, k)
 
 
 def test_shortest_generator_rejects_other_rings():
@@ -517,6 +536,9 @@ def test_theta_roots():
         assert (pow(r, 4, 23) + 4 * r * r + 2) % 23 == 0
     assert theta_roots(41) == []  # 41 = 9 (mod 16): theta quartic has no roots
     assert theta_roots(5) == []
+    for p in (21, 0, 2):  # the p = 1, 7 (mod 8) shortcut must not skip the test of p
+        with pytest.raises(DomainError):
+            theta_roots(p)
 
 
 def test_decimal_helpers():
