@@ -49,6 +49,7 @@ from math import isqrt
 
 from .errors import ConsistencyError, DomainError
 from .lattice import (
+    MAX_ENUMERATION_RANK,
     IntegerLattice,
     SvpCertificate,
     canonical_coeffs,
@@ -56,7 +57,6 @@ from .lattice import (
     enumerate_all,
     lift_lattice_basis,
     lll_reduce,
-    max_enumeration_rank,
     prime_ideal_from_factor,
     prime_ideal_lattice,
     principal_ideal_lattice,
@@ -98,18 +98,32 @@ from .rings import (
 
 SVSG_RINGS = (GAUSSIAN_INT, QUAD_SQRT2, CYCLO_EIGHTH, QUARTIC_THETA)
 
-_PREC = Context(prec=40)
 _TWELVE = Context(prec=12, rounding=ROUND_HALF_EVEN)
 
 
+def _root_decimal(n: int, k: int) -> str:
+    """n**(1/k), k = 2 or 4, to 12 significant digits, correctly rounded
+    half-even, decided in integers.  t = floor(n**(1/k) * 10^j) has at
+    least 13 digits, so every 12-digit half-way point is a whole number of
+    t's units: a root strictly inside (t, t + 1) rounds as t + 1/10 does.
+    An exact root r is an integer and renders as Decimal's sqrt renders
+    it, r rounded to 12 digits."""
+    j = max(0, 13 - (len(str(n)) - 1) // k)
+    x = n * 10 ** (k * j)
+    t = isqrt(x) if k == 2 else isqrt(isqrt(x))
+    if t**k == x:
+        return str(_TWELVE.plus(Decimal(t // 10**j)))
+    return str(_TWELVE.plus(Decimal(f"{10 * t + 1}E-{j + 1}")))
+
+
 def sqrt_decimal(n: int) -> str:
-    """sqrt(n) to 12 significant digits, round-half-even."""
-    return str(_TWELVE.plus(_PREC.sqrt(Decimal(n))))
+    """sqrt(n) to 12 significant digits, correctly rounded half-even."""
+    return _root_decimal(n, 2)
 
 
 def fourth_root_decimal(n: int) -> str:
-    """n**(1/4) to 12 significant digits, round-half-even."""
-    return str(_TWELVE.plus(_PREC.sqrt(_PREC.sqrt(Decimal(n)))))
+    """n**(1/4) to 12 significant digits, correctly rounded half-even."""
+    return _root_decimal(n, 4)
 
 
 def iroot_floor(x: int, k: int) -> int:
@@ -444,12 +458,12 @@ def _base_witness(p: int, label: str, n: int, root_hint: int | None):
         lat = prime_ideal_lattice(GAUSSIAN_INT, p, r0)
         return lat, w, 2 * p, "analytic-formula"
     if label == "3mod8":
+        if root_hint is not None:
+            raise DomainError("p = 3 (mod 8): the base ideal has no degree-1 root")
         if n == 1:
             # p is inert in Z[i]; the ideal (p) has shortest vector p itself
             lat = prime_ideal_from_factor(GAUSSIAN_INT, p, [1, 0, 1])
             return lat, integer(GAUSSIAN_INT, p), 2 * p * p, "analytic-formula"
-        if root_hint is not None:
-            raise DomainError("p = 3 (mod 8): the base ideal has no degree-1 root")
         a, b = cornacchia_descent(p, 2, class_sqrt(-2, p))
         w = element(CYCLO_EIGHTH, (a, b, 0, b))  # a + b*sqrt(-2)
         # (w) = (p, g(zeta)): sqrt(-2) = zeta + zeta^3 = zeta - zeta^-1 is
@@ -466,6 +480,9 @@ def _base_witness(p: int, label: str, n: int, root_hint: int | None):
             raise ConsistencyError(f"theta quartic has no roots mod {p}")
         r = roots[0]
     else:  # no formula: the enumeration fallback
+        if root_hint is not None:
+            raise DomainError("the enumeration fallback chooses its own ideal; "
+                              "root_hint is not accepted")
         return _fallback_base(p, n), None, None, "enumeration"
     return prime_ideal_lattice(ring, p, r), None, None, "enumeration"
 
@@ -521,7 +538,7 @@ def _lift_check(base: Callable[[], IntegerLattice], w: RingElement, sq: int,
     w_lift = lift_element(w, target)
     if canonical_sq_length(w_lift) != expected:
         raise ConsistencyError("lift did not scale the squared length by the degree ratio")
-    if target.degree > max_enumeration_rank():
+    if target.degree > MAX_ENUMERATION_RANK:
         return w_lift, expected, None
     reduced = lll_reduce(base())
     closure = cyclotomic_closure(reduced.ring)
@@ -619,6 +636,8 @@ def lambda1_squared(
     classes (p = 1, 15 mod 16) raise DomainError unless
     ``enumerate_fallback`` is set; then the enumeration of the fallback
     base is the answer and no bound radicands are reported.
+    ``root_hint`` picks the degree-1 root of the base ideal; it is refused
+    where the base has none (p = 3 mod 8) and by the fallback.
     """
     rc = _require_covered(p, n, enumerate_fallback)
     pell = _pell_if_solvable(p)
@@ -796,12 +815,10 @@ def _fallback_base(p: int, n: int) -> IntegerLattice:
     """The tower base of an uncovered class: a prime ideal over p of
     residue degree 1 or 2 in Z[zeta_{2^(n+1)}] itself, for _certify to
     enumerate, so the rank is capped."""
+    d = 1 << n
+    if d > MAX_ENUMERATION_RANK:  # refused before the ring is built
+        raise DomainError(f"enumeration fallback needs rank <= {MAX_ENUMERATION_RANK}, got {d}")
     ring = cyclotomic(n)
-    d = ring.degree
-    if d > max_enumeration_rank():
-        raise DomainError(
-            f"enumeration fallback needs rank <= {max_enumeration_rank()}, got {d}"
-        )
     order = 2 * d
     if (p - 1) % order == 0:
         return prime_ideal_lattice(ring, p, root_of_minus_one(p, n))

@@ -32,7 +32,6 @@ is r diagonal blocks of r times the source Gram, r the degree ratio.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -48,12 +47,6 @@ from .rings import (
 )
 
 DEFAULT_DELTA = Fraction(99, 100)
-_DEFAULT_MAX_RANK = 16
-
-
-def max_enumeration_rank() -> int:
-    """Rank cap for enumeration; override with CYCLOSVP_MAX_RANK."""
-    return int(os.environ.get("CYCLOSVP_MAX_RANK", _DEFAULT_MAX_RANK))
 
 
 @dataclass(frozen=True)
@@ -562,6 +555,15 @@ def canonical_coeffs(coeffs) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
+# The largest rank _short_vectors enumerates (tower level 4).  The cost of
+# LLL and enumeration grows steeply with the rank: a fallback base of rank 16
+# takes milliseconds, one of rank 32 up to seconds.  Above the cap the tower
+# does not re-enumerate its lift (certified is false) and the enumeration
+# fallback is refused.  A constant, not a setting, so that every answer
+# depends only on its arguments.
+MAX_ENUMERATION_RANK = 16
+
+
 def _short_vectors(lat: IntegerLattice, radius_sq: int | None, shrink: bool):
     """Yield (sq_length, row) for the nonzero vectors of ``lat`` with
     squared canonical length <= radius_sq, one per +/- pair, each row
@@ -571,10 +573,8 @@ def _short_vectors(lat: IntegerLattice, radius_sq: int | None, shrink: bool):
     divides d[i] by s^i and lam[i][j] by s^(j+1).  With ``shrink``
     the radius starts no higher than the shortest reduced basis vector
     (there when radius_sq is None) and drops to each yielded length."""
-    if lat.rank > max_enumeration_rank():
-        raise DomainError(
-            f"rank {lat.rank} exceeds enumeration cap {max_enumeration_rank()}"
-        )
+    if lat.rank > MAX_ENUMERATION_RANK:
+        raise DomainError(f"rank {lat.rank} exceeds enumeration cap {MAX_ENUMERATION_RANK}")
     red = lll_reduce(lat)
     rows = red.rows()
     scale = lat.ring.gram_scale

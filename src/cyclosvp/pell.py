@@ -67,12 +67,10 @@ def solve_pell(p: int, sign: int = 1) -> PellSolution:
     identities a_{-p} = a_p - 2 b_p and b_{-p} = a_p - b_p.
     """
     _validate(p, sign)
+    plus = pell_from_root(p, sqrt_mod(2, p))
     if sign == -1:
-        plus = solve_pell(p, 1)
         return PellSolution(p, -1, plus.a - 2 * plus.b, plus.a - plus.b)
-    r = sqrt_mod(2, p)
-    assert r is not None
-    return pell_from_root(p, r)
+    return plus
 
 
 def pell_from_root(p: int, r: int) -> PellSolution:

@@ -219,6 +219,21 @@ def test_bounds_command():
     assert data["bound_minkowski_decimal"] == "12.2859146226"
 
 
+def test_decimals_are_correctly_rounded_near_a_half_way_point():
+    # 4p and 32p lie just above (1.234567890125 * 10^k)^2 and ^4: rounding
+    # a 40-digit root, which reads ...5000 there, had rounded them down
+    p = 38103946883192351812890625000000000000000000000000000000000621
+    assert 4 * p > 1234567890125**2 * 10**38
+    code, data = run_json("lambda1", "--p", str(p), "--n", "2")
+    assert code == 0 and data["lambda1_decimal"] == "1.23456789013E+31"
+    p = 725955384038572071105751629298633030004959106445312500000001401
+    assert 32 * p > 1234567890125**4 * 10**16
+    code, data = run_json("bounds", "--p", str(p), "--n", "2")
+    assert code == 0 and data["bound_new_decimal"] == "1.23456789013E+16"
+    code, data = run_json("lambda1", "--p", str(p), "--n", "2")
+    assert code == 0 and data["bound_new_decimal"] == "1.23456789013E+16"
+
+
 def test_table_9mod16_below_100():
     code, text = run_cli("table", "--pmax", "100", "--classes", "9mod16", "--n", "2")
     assert code == 0
@@ -307,6 +322,52 @@ def test_level_above_max_exits_2_without_building_a_ring(monkeypatch):
     assert (code, data) == (2, {"error": "tower level must be <= 20, got 4000"})
     code, data = run_json("bounds", "--p", "89", "--n", "20")  # the limit itself is admitted
     assert code == 0 and data["lambda1_squared"] == str(11 << 20)
+
+
+def test_fallback_above_the_cap_exits_2_without_building_a_ring(monkeypatch):
+    def refuse(k):
+        raise AssertionError(f"cyclotomic({k}) built")
+
+    monkeypatch.setattr(rings, "cyclotomic", refuse)
+    monkeypatch.setattr(idealsvp, "cyclotomic", refuse)
+    for n in (5, 12, 20):
+        code, data = run_json("lambda1", "--p", "17", "--n", str(n), "--enumerate-fallback")
+        assert (code, data) == (
+            2, {"error": f"enumeration fallback needs rank <= 16, got {1 << n}"}), n
+
+
+_CAP_QUERIES = (
+    ["lambda1", "--p", "89", "--n", "4"],
+    ["lambda1", "--p", "89", "--n", "5"],
+    ["lambda1", "--p", "17", "--n", "4", "--enumerate-fallback"],
+)
+
+
+def _run_cap_queries(max_rank):
+    """[exit code, stdout] of each _CAP_QUERIES command, run in a fresh
+    interpreter with CYCLOSVP_MAX_RANK set to max_rank or unset."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "CYCLOSVP_MAX_RANK"}
+    if max_rank is not None:
+        env["CYCLOSVP_MAX_RANK"] = max_rank
+    code = (
+        f"import io, json, sys; sys.path.insert(0, {src!r}); from cyclosvp import cli\n"
+        f"outs = [io.StringIO() for _ in range({len(_CAP_QUERIES)})]\n"
+        f"codes = [cli.run(argv, out=o) for argv, o in zip({list(_CAP_QUERIES)!r}, outs)]\n"
+        "print(json.dumps([[c, o.getvalue()] for c, o in zip(codes, outs)]))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    return json.loads(done.stdout)
+
+
+def test_stdout_ignores_the_old_rank_cap_variable():
+    unset = _run_cap_queries(None)
+    assert [c for c, _ in unset] == [0, 0, 0]
+    assert json.loads(unset[0][1])["certified"] is True
+    assert json.loads(unset[1][1])["certified"] is False
+    for value in ("0", "8", "32", "abc"):
+        assert _run_cap_queries(value) == unset, value
 
 
 def test_parser_is_built_once_per_process(monkeypatch):

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import sys
 
 import pytest
@@ -160,8 +161,17 @@ def test_root_hint_selects_conjugate_in_gaussian_case():
     assert a.witness.vector.coeffs != b.witness.vector.coeffs
     with pytest.raises(DomainError):
         lambda1_squared(13, 1, root_hint=3)
-    with pytest.raises(DomainError):
-        lambda1_squared(11, 2, root_hint=1)  # 3 mod 8: no degree-1 root exists
+    no_root = "p = 3 (mod 8): the base ideal has no degree-1 root"
+    for n in (1, 2):  # 3 mod 8: no degree-1 root exists, at n = 1 (p inert) either
+        with pytest.raises(DomainError, match=re.escape(no_root)):
+            lambda1_squared(11, n, root_hint=5)
+        with pytest.raises(DomainError, match=re.escape(no_root)):
+            lambda1_squared(11, n, root_hint=1)
+    assert lambda1_squared(11, 1).lambda1_sq == 2 * 11 * 11
+    with pytest.raises(DomainError, match="chooses its own ideal"):
+        lambda1_squared(17, 3, root_hint=12345, enumerate_fallback=True)
+    with pytest.raises(DomainError, match="chooses its own ideal"):
+        lambda1_squared(17, 3, root_hint=root_of_minus_one(17, 3), enumerate_fallback=True)
 
 
 def test_witness_norm_is_power_of_p():
@@ -544,6 +554,11 @@ def test_theta_roots():
 def test_decimal_helpers():
     assert sqrt_decimal(44) == "6.63324958071"
     assert fourth_root_decimal(2848) == "7.30524854173"
+    # exact roots keep their form
+    assert sqrt_decimal(4) == "2"
+    assert sqrt_decimal(25600) == "160"
+    assert sqrt_decimal(10**30) == "1.00000000000E+15"
+    assert fourth_root_decimal(10**4) == "10"
     assert iroot_floor(81, 4) == 3
     assert iroot_floor(80, 4) == 2
     assert iroot_floor(0, 3) == 0

@@ -386,13 +386,21 @@ def test_enumerate_all_against_box_scan_rank4():
 
 
 def test_enumeration_rank_cap(monkeypatch):
-    monkeypatch.setenv("CYCLOSVP_MAX_RANK", "4")
+    assert lattice.MAX_ENUMERATION_RANK == 16
     base = prime_ideal_lattice(QUAD_SQRT2, 7, 4)
     lat = lift_ideal_lattice(base, cyclotomic(3))
+    assert lat.rank == 8 and svp_enumerate(lat, 72).sq_length == 72
+    big = prime_ideal_lattice(cyclotomic(5), 193, root_of_minus_one(193, 5))
+
+    def refuse(_lat, *args, **kwargs):
+        raise AssertionError("lll_reduce ran above the cap")
+
+    monkeypatch.setattr(lattice, "lll_reduce", refuse)
+    with pytest.raises(DomainError) as exc:
+        svp_enumerate(big)
+    assert str(exc.value) == "rank 32 exceeds enumeration cap 16"
     with pytest.raises(DomainError):
-        svp_enumerate(lat, 72)
-    monkeypatch.setenv("CYCLOSVP_MAX_RANK", "8")
-    assert svp_enumerate(lat, 72).sq_length == 72
+        enumerate_all(big, 1 << 20)
 
 
 # --- the integer kernel against rational references -----------------------

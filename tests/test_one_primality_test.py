@@ -97,6 +97,17 @@ def test_pell_and_sqrtmod_commands_add_no_primality_test(primality_tests, argv, 
     assert len(primality_tests) == in_library
 
 
+@pytest.mark.parametrize("p", [71, 89, 97])
+def test_solve_pell_minus_tests_p_as_often_as_plus(primality_tests, p):
+    """solve_pell(p, -1) validates p once and derives its answer from the
+    +p solution without calling solve_pell(p, 1) again."""
+    solve_pell(p, 1)
+    plus = len(primality_tests)
+    primality_tests.clear()
+    solve_pell(p, -1)
+    assert len(primality_tests) == plus
+
+
 def run_cli(*argv):
     out = io.StringIO()
     return cli.run([str(a) for a in argv], out=out), out.getvalue()
