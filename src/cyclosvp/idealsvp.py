@@ -36,7 +36,9 @@ length scaling by the degree ratio.
 One function, _certify, certifies every answer, the enumeration fallback
 (p = 1, 15 mod 16) included: the witness is checked to lie in its base
 ideal against the base HNF (the lift is the inclusion, so this covers the
-lifted ideal) and confirmed at rank <= 16 by Schnorr-Euchner enumeration;
+lifted ideal); Cornacchia's witness for p = 3, 5 (mod 8) is also checked
+to generate it, by equal covolume, so its zeta-multiples are the base
+basis.  The answer is confirmed at rank <= 16 by Schnorr-Euchner enumeration;
 a mismatch with the formula (_formula) raises ConsistencyError.
 """
 
@@ -55,11 +57,12 @@ from .lattice import (
     canonical_coeffs,
     contains,
     enumerate_all,
+    generator_lattice,
+    gram_det,
     lift_lattice_basis,
     lll_reduce,
     prime_ideal_from_factor,
     prime_ideal_lattice,
-    principal_ideal_lattice,
     svp_enumerate,
 )
 from .ntheory import (
@@ -441,35 +444,30 @@ def svsg_verify(ring: Ring, norm_bound: int) -> SvsgReport:
 
 
 def _base_witness(p: int, label: str, n: int, root_hint: int | None):
-    """(base HNF lattice, witness, base_sq, method) in the smallest ring of
-    the tower that contains the shortest vector.  For p = 7, 9 (mod 16)
-    and the fallback's base at level n (p = 1, 15 mod 16) witness and
-    base_sq are None: _certify enumerates the reduced base."""
+    """(base HNF lattice, witness) in the smallest ring of the tower that
+    contains the shortest vector.  For p = 3, 5 (mod 8) the witness is
+    Cornacchia's generator of the base ideal; for p = 7, 9 (mod 16) and
+    the fallback's base at level n (p = 1, 15 mod 16) it is None:
+    _certify enumerates the reduced base."""
     if label == "5mod8" or (label == "9mod16" and n == 1):
         a, b = cornacchia_descent(p, 1, class_sqrt(-1, p))
         r0 = (-a * pow(b, -1, p)) % p
         if root_hint is not None and root_hint % p not in (r0, p - r0):
             raise DomainError(f"{root_hint} is not a square root of -1 mod {p}")
-        if root_hint is not None and root_hint % p == p - r0:
-            w = element(GAUSSIAN_INT, (a, -b))
-            r0 = p - r0
-        else:
-            w = element(GAUSSIAN_INT, (a, b))
-        lat = prime_ideal_lattice(GAUSSIAN_INT, p, r0)
-        return lat, w, 2 * p, "analytic-formula"
+        if root_hint is not None and root_hint % p == p - r0:  # the conjugate ideal
+            b, r0 = -b, p - r0
+        return prime_ideal_lattice(GAUSSIAN_INT, p, r0), element(GAUSSIAN_INT, (a, b))
     if label == "3mod8":
         if root_hint is not None:
             raise DomainError("p = 3 (mod 8): the base ideal has no degree-1 root")
         if n == 1:
             # p is inert in Z[i]; the ideal (p) has shortest vector p itself
-            lat = prime_ideal_from_factor(GAUSSIAN_INT, p, [1, 0, 1])
-            return lat, integer(GAUSSIAN_INT, p), 2 * p * p, "analytic-formula"
+            return prime_ideal_from_factor(GAUSSIAN_INT, p, [1, 0, 1]), integer(GAUSSIAN_INT, p)
         a, b = cornacchia_descent(p, 2, class_sqrt(-2, p))
         w = element(CYCLO_EIGHTH, (a, b, 0, b))  # a + b*sqrt(-2)
         # (w) = (p, g(zeta)): sqrt(-2) = zeta + zeta^3 = zeta - zeta^-1 is
         # -a/b mod (w), so zeta is a root of g = x^2 + (a/b) x - 1
-        lat = prime_ideal_from_factor(CYCLO_EIGHTH, p, [p - 1, a * pow(b, -1, p) % p, 1])
-        return lat, w, 4 * p, "analytic-formula"
+        return prime_ideal_from_factor(CYCLO_EIGHTH, p, [p - 1, a * pow(b, -1, p) % p, 1]), w
     if label == "9mod16":
         ring = CYCLO_EIGHTH
         r = root_hint if root_hint is not None else _zeta8_root(p)
@@ -483,8 +481,8 @@ def _base_witness(p: int, label: str, n: int, root_hint: int | None):
         if root_hint is not None:
             raise DomainError("the enumeration fallback chooses its own ideal; "
                               "root_hint is not accepted")
-        return _fallback_base(p, n), None, None, "enumeration"
-    return prime_ideal_lattice(ring, p, r), None, None, "enumeration"
+        return _fallback_base(p, n), None
+    return prime_ideal_lattice(ring, p, r), None
 
 
 def _require_covered(p: int, n: int, enumerate_fallback: bool = False) -> ResidueClass:
@@ -527,7 +525,7 @@ def _lift_check(base: Callable[[], IntegerLattice], w: RingElement, sq: int,
     shorter, and the vector it returns must have the expected length.
     base is called only then.  The lifted ideal is enumerated on the
     basis zeta^j * b_i lifted from the LLL-reduced base
-    (lift_lattice_basis), not on its HNF, whose diagonal carries p.  A
+    (lift_lattice_basis), not on an HNF, whose diagonal carries p.  A
     zsqrt2 or theta16 base is lifted first to its cyclotomic closure
     (zeta8, zeta16) and reduced there at rank 4 or 8; from a cyclotomic
     basis the lift keeps the zeta^j multiples orthogonal, so the rank-2^n
@@ -560,22 +558,29 @@ def _lift_check(base: Callable[[], IntegerLattice], w: RingElement, sq: int,
 
 def _certify(rc: ResidueClass, n: int, root_hint: int | None) -> SvpCertificate:
     """The one certification of a lambda1 answer, for a (p, n) that
-    _require_covered accepted; a base without a witness is LLL-reduced
-    once, for its own enumeration and for the lift check.
-    ``cross_checked`` (printed as ``certified``) means that enumeration at
-    level n agreed and that a formula (rc.supported) is there to compare:
-    a fallback answer is an exact enumeration, but not certified."""
-    base_lat, w, base_sq, method = _base_witness(rc.p, rc.label, n, root_hint)
-    base, found, target = base_lat, None, cyclotomic(n)
+    _require_covered accepted.  A witness w from _base_witness lies in the
+    base ideal P and its basis zeta^j * w has P's covolume, so (w) = P and
+    that basis, already reduced, is the lift check's base: the paper's
+    generator method.  A base without a witness is LLL-reduced once, for
+    its own enumeration and for the lift check.  ``cross_checked``
+    (printed as ``certified``) means that enumeration at level n agreed
+    and that a formula (rc.supported) is there to compare: a fallback
+    answer is an exact enumeration, but not certified."""
+    base_lat, w = _base_witness(rc.p, rc.label, n, root_hint)
+    target = cyclotomic(n)
     if w is None:
         base = lll_reduce(base_lat)
         found = svp_enumerate(base)
-        w, base_sq = found.vector, found.sq_length
+        w, sq, method = found.vector, found.sq_length, "enumeration"
+    else:
+        base, sq, method = generator_lattice(w), canonical_sq_length(w), "analytic-formula"
     if not contains(base_lat, w):
         raise ConsistencyError(f"witness lies outside the base ideal over p={rc.p}")
-    if found is not None and base.ring is target:  # 9 (mod 16) at n = 2, the fallback
-        return SvpCertificate(w, base_sq, method, rc.supported)
-    w_lift, expected, cert = _lift_check(lambda: base, w, base_sq, target)
+    if method == "analytic-formula" and gram_det(base.gram) != gram_det(base_lat.gram):
+        raise ConsistencyError(f"witness does not generate the base ideal over p={rc.p}")
+    if method == "enumeration" and base.ring is target:  # 9 (mod 16) at n = 2, the fallback
+        return SvpCertificate(w, sq, method, rc.supported)
+    w_lift, expected, cert = _lift_check(lambda: base, w, sq, target)
     if cert is None:
         return SvpCertificate(canonical_torsion_rep(w_lift), expected, method, False)
     return SvpCertificate(cert.vector, expected, method, rc.supported)
@@ -675,11 +680,11 @@ def lift_shortest(cert: SvpCertificate, n: int) -> SvpCertificate:
     module do).  The squared length scales by the degree ratio; at target
     rank <= 16 the lifted principal ideal is re-enumerated and finding
     anything shorter raises ConsistencyError."""
+    require_level(n)
     target = cyclotomic(n)
-    src = cert.vector.ring
-    if src is target:
+    if cert.vector.ring is target:
         return cert
-    w2, sq2, check = _lift_check(lambda: principal_ideal_lattice(src, cert.vector),
+    w2, sq2, check = _lift_check(lambda: generator_lattice(cert.vector),
                                  cert.vector, cert.sq_length, target)
     return SvpCertificate(canonical_torsion_rep(w2), sq2, cert.method, check is not None)
 

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 
 from .errors import ConsistencyError, DomainError, RadiusExhausted
 from .rings import (
@@ -227,20 +228,26 @@ def prime_ideal_from_factor(ring: Ring, p: int, g: list[int]) -> IntegerLattice:
     return lat
 
 
+def generator_lattice(alpha: RingElement) -> IntegerLattice:
+    """The principal ideal (alpha), alpha nonzero, on the basis
+    alpha * th^j (j < d) itself, with its exact Gram matrix and without
+    HNF.  In a cyclotomic ring th^j = zeta^j, so a generator pi with
+    pi * conj(pi) = p gives the Gram matrix |pi|^2 I: a reduced basis."""
+    ring = alpha.ring
+    theta = element(ring, [0, 1] + [0] * (ring.degree - 2))
+    basis = [alpha]
+    while len(basis) < ring.degree:
+        basis.append(mul(basis[-1], theta))
+    return IntegerLattice(ring, tuple(basis), _gram_matrix(ring, basis))
+
+
 def principal_ideal_lattice(ring: Ring, alpha: RingElement) -> IntegerLattice:
-    """Lattice of the principal ideal generated by alpha."""
+    """Lattice of the principal ideal generated by alpha, in HNF."""
     if alpha.ring is not ring:
         raise DomainError("generator lies in a different ring")
     if alpha.is_zero():
         raise DomainError("zero generates the zero ideal, not a lattice")
-    d = ring.degree
-    rows = []
-    shift = alpha
-    theta = element(ring, [0, 1] + [0] * (d - 2))
-    for _ in range(d):
-        rows.append(list(shift.coeffs))
-        shift = mul(shift, theta)
-    return lattice_from_rows(ring, rows)
+    return lattice_from_rows(ring, generator_lattice(alpha).rows())
 
 
 def _zeta_multiples(lat: IntegerLattice, target: Ring) -> tuple[RingElement, ...]:
@@ -568,16 +575,17 @@ def _short_vectors(lat: IntegerLattice, radius_sq: int | None, shrink: bool):
     """Yield (sq_length, row) for the nonzero vectors of ``lat`` with
     squared canonical length <= radius_sq, one per +/- pair, each row
     sign-normalized.  Checks the rank cap and searches the LLL-reduced
-    basis with the ring's common Gram factor s divided out; its
-    Gram-Schmidt data come from LLL's, since dividing the Gram by s
-    divides d[i] by s^i and lam[i][j] by s^(j+1).  With ``shrink``
+    basis with the content s of its Gram matrix (the gcd of its entries)
+    divided out; its Gram-Schmidt data come from LLL's, since d[i] and
+    lam[i][j] are homogeneous of degrees i and j + 1 in the Gram entries,
+    so dividing by s divides them by s^i and s^(j+1).  With ``shrink``
     the radius starts no higher than the shortest reduced basis vector
     (there when radius_sq is None) and drops to each yielded length."""
     if lat.rank > MAX_ENUMERATION_RANK:
         raise DomainError(f"rank {lat.rank} exceeds enumeration cap {MAX_ENUMERATION_RANK}")
     red = lll_reduce(lat)
     rows = red.rows()
-    scale = lat.ring.gram_scale
+    scale = gcd(*(v for row in red.gram for v in row))
     gram = tuple(tuple(v // scale for v in row) for row in red.gram)
     d, lam = red.gso
     powers = [scale ** i for i in range(red.rank + 1)]

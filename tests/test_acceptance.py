@@ -124,7 +124,7 @@ def _tower_lattice_for(p: int, n: int):
     from cyclosvp.ntheory import class_label
     from cyclosvp.rings import cyclotomic
 
-    base_lat, _, _, _ = _base_witness(p, class_label(p), n, None)
+    base_lat, _ = _base_witness(p, class_label(p), n, None)
     return lift_ideal_lattice(base_lat, cyclotomic(n))
 
 

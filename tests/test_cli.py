@@ -107,7 +107,8 @@ def test_shortest_prints_the_lambda1_witness():
 
 
 # sha256 of the `lambda1` stdout at n = 5, 6, recorded from the
-# implementation that kept dense d x d Gram and reduction tables
+# implementation that kept dense d x d Gram and reduction tables (the two
+# 200-digit 3, 5 (mod 8) primes: from the one that LLL-reduced their base HNF)
 _LEVEL_5_6_SHA256 = {
     (13, 5): "f9966eca5f44c5b997aa0faf3081e25f5514d477926e958597c2869ffb3b6332",
     (13, 6): "a355360a807b0850f63eff91771d4de9d57902522b4db7a7d7a877248b96b8a6",
@@ -119,11 +120,38 @@ _LEVEL_5_6_SHA256 = {
     (71, 6): "b2278fe98575f12bedbff12e4c10f481ccc76177f28910f878763aefb32cb108",
     (10**199 + 4983, 5): "bd6fd1e7c78929e5c8cdb1bad1cf694588cfd1641b6a44ecabcceabbf4c94dec",
     (10**199 + 4983, 6): "653c22ee96559efb1ca62c0f499b7b69cb4410521c2b4015aff23f61392aad83",
+    (10**199 + 1867, 5): "13a46509c57c7672d0ec8da07b90d188b24276eeb62d17fbb66b7711df97acd7",
+    (10**199 + 1867, 6): "0f5c39f0e341526ac81ddb6d6baaeddb5019f584f5027f497c88772ae548fdc4",
+    (10**199 + 2229, 5): "43d07884fe1ef20b791153735d6b8e25ea585824a8a863c46d6309a658f604fb",
+    (10**199 + 2229, 6): "e34132564cdd0627320dbdb61b083b71cb263539f9d19131316967f0ba469fff",
+}
+
+# the same for n = 1..4, where the answer is certified by enumeration,
+# recorded from the implementation that LLL-reduced the base HNF
+_LEVEL_1_4_SHA256 = {
+    (10**199 + 1867, 1): "93bbfc15a9942d7c62c003fe32077c70cea167908a1723b4f12bf629013aa80d",
+    (10**199 + 1867, 2): "53bd1d77eec187ea20b87f84586497672f82bd1d94420f7a2ea073f74e32b8d4",
+    (10**199 + 1867, 3): "99f8dc22ad67783710dc5a1731cb9a9e2e13f8e6cbf8778527c15925d30cbc36",
+    (10**199 + 1867, 4): "8694008da74b1120c77bcfed3e0dd7ef86ca2ded92374bdd835f09d8a5226a74",
+    (10**199 + 2229, 1): "58b2cb55794b25da64d5f8a9846fa1d6760e372a4735999552f752bfd843d939",
+    (10**199 + 2229, 2): "060b2f7fc0b6a014119b88d0aca727fa81a8867f139c3922dcc88aa01837c506",
+    (10**199 + 2229, 3): "140ba697d382d855cf5905109b52e294b4afb6f645968cb880e0c26397b8538a",
+    (10**199 + 2229, 4): "c564fced1c2531d99a002ee4f8daa91ec49c23dccd045bd8c0df3e424eb0c498",
 }
 
 
-# 5, 3 (mod 8); 9, 7 (mod 16); a 200-digit 7 (mod 16) prime
-@pytest.mark.parametrize("p", [13, 11, 89, 71, 10**199 + 4983])
+# 200-digit 3 and 5 (mod 8) primes, whose base is the generator basis
+@pytest.mark.parametrize("p", [10**199 + 1867, 10**199 + 2229])
+def test_lambda1_at_levels_1_to_4_is_pinned(p):
+    for n in range(1, 5):
+        code, text = run_cli("lambda1", "--p", str(p), "--n", str(n))
+        assert code == 0 and json.loads(text)["certified"] is True
+        assert hashlib.sha256(text.encode()).hexdigest() == _LEVEL_1_4_SHA256[p, n]
+
+
+# 5, 3 (mod 8); 9, 7 (mod 16); 200-digit 7, 3, 5 (mod 16, 8, 8) primes
+@pytest.mark.parametrize("p", [13, 11, 89, 71, 10**199 + 4983, 10**199 + 1867,
+                               10**199 + 2229])
 def test_lambda1_at_levels_5_to_12(p):
     scale = pell.solve_pell(p).a if p % 16 in (7, 9) else p
     for n in range(5, 13):

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from cyclosvp import idealsvp, rings
-from cyclosvp.errors import DomainError
+from cyclosvp.errors import ConsistencyError, DomainError
 from cyclosvp.idealsvp import (
     bounds,
     canonical_torsion_rep,
@@ -25,12 +25,13 @@ from cyclosvp.idealsvp import (
     zeta16_lift_check,
 )
 from cyclosvp.lattice import (
+    SvpCertificate,
     canonical_coeffs,
     prime_ideal_lattice,
     principal_ideal_lattice,
     svp_enumerate,
 )
-from cyclosvp.ntheory import is_prime, root_of_minus_one, sieve_primes, sqrt_mod
+from cyclosvp.ntheory import MAX_LEVEL, is_prime, root_of_minus_one, sieve_primes, sqrt_mod
 from cyclosvp.pell import solve_pell
 from cyclosvp.rings import (
     CYCLO_EIGHTH,
@@ -362,17 +363,31 @@ def test_lift_shortest_errors():
     cert = lambda1_squared(89, 2).witness
     with pytest.raises(DomainError):
         lift_shortest(cert, 1)
+    with pytest.raises(ConsistencyError):  # a certificate that misstates its length
+        lift_shortest(SvpCertificate(cert.vector, cert.sq_length + 1, cert.method, True), 3)
+
+
+def test_lift_shortest_refuses_a_level_above_max_before_building_a_ring(monkeypatch):
+    cert = lambda1_squared(89, 2).witness
+
+    def refuse(k):
+        raise AssertionError(f"cyclotomic({k}) built")
+
+    monkeypatch.setattr(rings, "cyclotomic", refuse)
+    monkeypatch.setattr(idealsvp, "cyclotomic", refuse)
+    with pytest.raises(DomainError, match=f"must be <= {MAX_LEVEL}"):
+        lift_shortest(cert, MAX_LEVEL + 1)
 
 
 def test_lift_shortest_builds_the_base_ideal_only_when_it_enumerates(monkeypatch):
     built = []
-    original = idealsvp.principal_ideal_lattice
+    original = idealsvp.generator_lattice
 
-    def counted(*args):
-        built.append(args[0].name)
-        return original(*args)
+    def counted(alpha):
+        built.append(alpha.ring.name)
+        return original(alpha)
 
-    monkeypatch.setattr(idealsvp, "principal_ideal_lattice", counted)
+    monkeypatch.setattr(idealsvp, "generator_lattice", counted)
     above_cap = lift_shortest(lambda1_squared(89, 5).witness, 6)
     assert built == [] and not above_cap.cross_checked
     assert lift_shortest(lambda1_squared(89, 2).witness, 3).cross_checked

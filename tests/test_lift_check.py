@@ -9,6 +9,7 @@ from cyclosvp.errors import ConsistencyError
 from cyclosvp.idealsvp import lambda1_squared, lift_shortest, shortest_generator
 from cyclosvp.lattice import (
     SvpCertificate,
+    generator_lattice,
     hnf_rows,
     lift_ideal_lattice,
     lift_lattice_basis,
@@ -27,6 +28,7 @@ from cyclosvp.rings import (
     canonical_inner,
     cyclotomic,
     element,
+    mul,
 )
 
 
@@ -132,12 +134,27 @@ def test_certify_refuses_a_witness_outside_the_base_ideal(monkeypatch, n):
     real = idealsvp._base_witness
 
     def conjugate_witness(p, label, level, root_hint):
-        lat, w, sq, method = real(p, label, level, root_hint)
+        lat, w = real(p, label, level, root_hint)
         a, b = w.coeffs
-        return lat, element(GAUSSIAN_INT, (a, -b)), sq, method
+        return lat, element(GAUSSIAN_INT, (a, -b))
 
     monkeypatch.setattr(idealsvp, "_base_witness", conjugate_witness)
     with pytest.raises(ConsistencyError):
+        lambda1_squared(13, n)
+
+
+@pytest.mark.parametrize("n", [2, 5])
+def test_certify_refuses_a_witness_that_does_not_generate_the_base_ideal(monkeypatch, n):
+    # (1 + i) pi lies in the base ideal (pi) over 13 but has index 2 in it;
+    # the covolume check runs in Z[i], so it also holds above the enumeration cap
+    real = idealsvp._base_witness
+
+    def multiple_witness(p, label, level, root_hint):
+        lat, w = real(p, label, level, root_hint)
+        return lat, mul(element(GAUSSIAN_INT, (1, 1)), w)
+
+    monkeypatch.setattr(idealsvp, "_base_witness", multiple_witness)
+    with pytest.raises(ConsistencyError, match="does not generate the base ideal"):
         lambda1_squared(13, n)
 
 
@@ -155,12 +172,13 @@ def test_each_tower_lattice_is_reduced_and_checked_once(monkeypatch, label):
     reduced = _record(monkeypatch, "lll_reduce", lattice, idealsvp)
     res = lambda1_squared(p, 4)
     assert res.witness.cross_checked
-    # no HNF is taken on the tower path: every base lattice, the 3 (mod 8)
-    # ones included, comes from its builder already in HNF, and is reduced once
+    # no HNF is taken on the tower path: every base lattice comes from its
+    # builder already in HNF; a 7, 9 (mod 16) base is reduced once, and a
+    # 3, 5 (mod 8) base is never reduced: its basis is zeta^j * pi
     assert dims == []
     base_hnfs = [lat for lat in reduced
                  if lat.rank <= 4 and lat.rows() == real_hnf(lat.rows(), lat.ring.degree)]
-    assert len(base_hnfs) == 1
+    assert len(base_hnfs) == (0 if label in ("3mod8", "5mod8") else 1)
 
 
 @pytest.mark.parametrize("p, n", [(89, 2), (13, 1)])
@@ -201,7 +219,7 @@ def test_a_zsqrt2_witness_is_lifted_through_zeta8(monkeypatch, n):
     enumerated = _record(monkeypatch, "svp_enumerate", idealsvp)
     lifted = lift_shortest(cert, n)
     assert lifted.cross_checked
-    base = principal_ideal_lattice(QUAD_SQRT2, cert.vector)
+    base = generator_lattice(cert.vector)
     via, straight = _through_closure(base, CYCLO_EIGHTH, cyclotomic(n))
     assert len(enumerated) == 1 and enumerated[0].basis == via != straight
 
@@ -229,7 +247,7 @@ def test_lift_check_refuses_a_vector_of_another_length(monkeypatch, p, n):
 def test_a_3_mod_8_base_is_the_principal_ideal_of_its_witness(p):
     # (a + b sqrt(-2)) = (p, zeta^2 + (a/b) zeta - 1) in zeta8, and (p) in Z[i]
     for n, ring in ((1, GAUSSIAN_INT), (2, CYCLO_EIGHTH)):
-        lat, w, _, _ = idealsvp._base_witness(p, "3mod8", n, None)
+        lat, w = idealsvp._base_witness(p, "3mod8", n, None)
         assert lat.ring is ring and lat.basis == principal_ideal_lattice(ring, w).basis
 
 
