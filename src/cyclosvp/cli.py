@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
 from functools import lru_cache
 
 from .errors import ConsistencyError, DomainError, RadiusExhausted
@@ -132,7 +131,8 @@ def _cmd_verify(args) -> dict:
                 "ring": rep.ring,
                 "norm_bound": str(rep.norm_bound),
                 "ideals": str(len(rep.entries)),
-                "mismatches": [asdict(e) for e in rep.mismatches],
+                "mismatches": [{f: getattr(e, f) for f in e.__slots__}
+                               for e in rep.mismatches],
                 "passed": rep.passed,
             }
         )

@@ -45,10 +45,10 @@ a mismatch with the formula (_formula) raises ConsistencyError.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
 from decimal import Context, Decimal, ROUND_HALF_EVEN
 from math import isqrt
 
+from ._record import Record
 from .errors import ConsistencyError, DomainError
 from .lattice import (
     MAX_ENUMERATION_RANK,
@@ -394,22 +394,27 @@ def prime_ideals_up_to_norm(ring: Ring, norm_bound: int):
     return out
 
 
-@dataclass(frozen=True)
-class SvsgEntry:
-    p: int
-    norm: int
-    ideal: str
-    lambda1_sq: int | None
-    generator_sq: int | None
-    match: bool
-    detail: str = ""
+class SvsgEntry(Record):
+    __slots__ = ("p", "norm", "ideal", "lambda1_sq", "generator_sq", "match", "detail")
+
+    def __init__(
+        self,
+        p: int,
+        norm: int,
+        ideal: str,
+        lambda1_sq: int | None,
+        generator_sq: int | None,
+        match: bool,
+        detail: str = "",
+    ):
+        self._fill(p, norm, ideal, lambda1_sq, generator_sq, match, detail)
 
 
-@dataclass(frozen=True)
-class SvsgReport:
-    ring: str
-    norm_bound: int
-    entries: tuple[SvsgEntry, ...]
+class SvsgReport(Record):
+    __slots__ = ("ring", "norm_bound", "entries")
+
+    def __init__(self, ring: str, norm_bound: int, entries: tuple[SvsgEntry, ...]):
+        self._fill(ring, norm_bound, entries)
 
     @property
     def mismatches(self) -> tuple[SvsgEntry, ...]:
@@ -611,21 +616,28 @@ def shortest_vector(p: int, n: int, root_hint: int | None = None) -> SvpCertific
     return lambda1_squared(p, n, root_hint).witness
 
 
-@dataclass(frozen=True)
-class Lambda1Result:
+class Lambda1Result(Record):
     """Shortest length of the prime ideal over p at level n, with witness
     and the two upper-bound radicands (fourth powers), where covered, and
     the fundamental solution of a^2 - 2b^2 = p where it exists."""
 
-    p: int
-    n: int
-    residue_class: ResidueClass
-    lambda1_sq: int
-    witness: SvpCertificate
-    bound_new_radicand: int | None
-    bound_minkowski_radicand: int | None
-    note: str | None = None
-    pell: PellSolution | None = None
+    __slots__ = ("p", "n", "residue_class", "lambda1_sq", "witness",
+                 "bound_new_radicand", "bound_minkowski_radicand", "note", "pell")
+
+    def __init__(
+        self,
+        p: int,
+        n: int,
+        residue_class: ResidueClass,
+        lambda1_sq: int,
+        witness: SvpCertificate,
+        bound_new_radicand: int | None,
+        bound_minkowski_radicand: int | None,
+        note: str | None = None,
+        pell: PellSolution | None = None,
+    ):
+        self._fill(p, n, residue_class, lambda1_sq, witness,
+                   bound_new_radicand, bound_minkowski_radicand, note, pell)
 
 
 def lambda1_squared(
@@ -689,16 +701,23 @@ def lift_shortest(cert: SvpCertificate, n: int) -> SvpCertificate:
     return SvpCertificate(canonical_torsion_rep(w2), sq2, cert.method, check is not None)
 
 
-@dataclass(frozen=True)
-class BoundsResult:
-    p: int
-    n: int
-    lambda1_sq: int
-    new_bound_radicand: int  # lambda1 < (this)^(1/4) = (2^(2n+1) p)^(1/4)
-    minkowski_radicand: int  # (2^n p^(1/4))^4 = 2^(4n) p
-    lambda1_decimal: str
-    bound_new_decimal: str
-    bound_minkowski_decimal: str
+class BoundsResult(Record):
+    __slots__ = ("p", "n", "lambda1_sq", "new_bound_radicand", "minkowski_radicand",
+                 "lambda1_decimal", "bound_new_decimal", "bound_minkowski_decimal")
+
+    def __init__(
+        self,
+        p: int,
+        n: int,
+        lambda1_sq: int,
+        new_bound_radicand: int,  # lambda1 < (this)^(1/4) = (2^(2n+1) p)^(1/4)
+        minkowski_radicand: int,  # (2^n p^(1/4))^4 = 2^(4n) p
+        lambda1_decimal: str,
+        bound_new_decimal: str,
+        bound_minkowski_decimal: str,
+    ):
+        self._fill(p, n, lambda1_sq, new_bound_radicand, minkowski_radicand,
+                   lambda1_decimal, bound_new_decimal, bound_minkowski_decimal)
 
 
 def bounds(p: int, n: int) -> BoundsResult:
@@ -730,14 +749,20 @@ def bounds(p: int, n: int) -> BoundsResult:
 # zeta16 lift check (p = 7 mod 16)
 
 
-@dataclass(frozen=True)
-class LiftCheckReport:
-    p: int
-    subfield_sq: int
-    extension_sq: int
-    four_a_p: int
-    ratio_exact: bool
-    witness_attains: bool
+class LiftCheckReport(Record):
+    __slots__ = ("p", "subfield_sq", "extension_sq", "four_a_p", "ratio_exact",
+                 "witness_attains")
+
+    def __init__(
+        self,
+        p: int,
+        subfield_sq: int,
+        extension_sq: int,
+        four_a_p: int,
+        ratio_exact: bool,
+        witness_attains: bool,
+    ):
+        self._fill(p, subfield_sq, extension_sq, four_a_p, ratio_exact, witness_attains)
 
     @property
     def passed(self) -> bool:

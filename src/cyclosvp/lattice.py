@@ -32,10 +32,10 @@ is r diagonal blocks of r times the source Gram, r the degree ratio.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
+from ._record import Record, set_field
 from .errors import ConsistencyError, DomainError, RadiusExhausted
 from .rings import (
     Ring,
@@ -50,19 +50,26 @@ from .rings import (
 DEFAULT_DELTA = Fraction(99, 100)
 
 
-@dataclass(frozen=True)
-class SvpCertificate:
+class SvpCertificate(Record):
     """Shortest-vector witness: the element, its exact squared canonical
     length, how it was obtained, and whether an independent route agreed."""
 
-    vector: RingElement
-    sq_length: int
-    method: str  # "analytic-formula" | "enumeration" | "generator-search"
-    cross_checked: bool
+    __slots__ = ("vector", "sq_length", "method", "cross_checked")
+
+    def __init__(
+        self,
+        vector: RingElement,
+        sq_length: int,
+        method: str,  # "analytic-formula" | "enumeration" | "generator-search"
+        cross_checked: bool,
+    ):
+        set_field(self, "vector", vector)
+        set_field(self, "sq_length", sq_length)
+        set_field(self, "method", method)
+        set_field(self, "cross_checked", cross_checked)
 
 
-@dataclass(frozen=True)
-class IntegerLattice:
+class IntegerLattice(Record):
     """A sublattice of a ring given by basis rows: in HNF when built from
     generating rows, any basis after lll_reduce or lift_lattice_basis.
 
@@ -74,13 +81,24 @@ class IntegerLattice:
     same basis does not compute it again; None when not known.
     """
 
-    ring: Ring
-    basis: tuple[RingElement, ...]
-    gram: tuple[tuple[int, ...], ...]
-    ideal_meta: tuple[int, int | None] | None = None
-    transform: tuple[tuple[int, ...], ...] | None = None
-    gso: tuple[tuple[int, ...], tuple[tuple[int, ...], ...]] | None = field(
-        default=None, compare=False, repr=False)
+    __slots__ = ("ring", "basis", "gram", "ideal_meta", "transform", "gso")
+    _uncompared = ("gso",)
+
+    def __init__(
+        self,
+        ring: Ring,
+        basis: tuple[RingElement, ...],
+        gram: tuple[tuple[int, ...], ...],
+        ideal_meta: tuple[int, int | None] | None = None,
+        transform: tuple[tuple[int, ...], ...] | None = None,
+        gso: tuple[tuple[int, ...], tuple[tuple[int, ...], ...]] | None = None,
+    ):
+        set_field(self, "ring", ring)
+        set_field(self, "basis", basis)
+        set_field(self, "gram", gram)
+        set_field(self, "ideal_meta", ideal_meta)
+        set_field(self, "transform", transform)
+        set_field(self, "gso", gso)
 
     @property
     def rank(self) -> int:

@@ -15,10 +15,10 @@ validating: they serve callers that hand in an untested modulus.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
+from ._record import Record
 from .errors import DomainError
 
 # Deterministic Miller-Rabin witnesses for n < 2**64.
@@ -213,8 +213,7 @@ def class_sqrt(a: int, p: int) -> int | None:
     return min(r, p - r)
 
 
-@dataclass(frozen=True)
-class ResidueClass:
+class ResidueClass(Record):
     """Residue-class data of an odd prime with its decomposition tower.
 
     The coverage fields come from ``COVERAGE``, the class table and the
@@ -226,15 +225,23 @@ class ResidueClass:
     level 1 below ``min_level``; unsupported classes get None, False, None.
     """
 
-    p: int
-    class_mod8: int
-    class_mod16: int
-    supported: bool
-    min_level: int | None
-    splitting: tuple[str, ...]
-    label: str
-    uses_a_p: bool
-    level1_note: str | None
+    __slots__ = ("p", "class_mod8", "class_mod16", "supported", "min_level",
+                 "splitting", "label", "uses_a_p", "level1_note")
+
+    def __init__(
+        self,
+        p: int,
+        class_mod8: int,
+        class_mod16: int,
+        supported: bool,
+        min_level: int | None,
+        splitting: tuple[str, ...],
+        label: str,
+        uses_a_p: bool,
+        level1_note: str | None,
+    ):
+        self._fill(p, class_mod8, class_mod16, supported, min_level,
+                   splitting, label, uses_a_p, level1_note)
 
 
 class Coverage(NamedTuple):

@@ -18,32 +18,32 @@ scan used to cross-verify it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
 
+from ._record import Record, set_field
 from .errors import ConsistencyError, DomainError
 from .lattice import gauss_reduce_gram
 from .ntheory import require_prime, sqrt_mod
 
 
-@dataclass(frozen=True)
-class PellSolution:
+class PellSolution(Record):
     """Minimal-a positive solution of a^2 - 2b^2 = sign * p."""
 
-    p: int
-    sign: int
-    a: int
-    b: int
+    __slots__ = ("p", "sign", "a", "b")
 
-    def __post_init__(self):
-        if self.a <= 0 or self.b <= 0:
+    def __init__(self, p: int, sign: int, a: int, b: int):
+        set_field(self, "p", p)
+        set_field(self, "sign", sign)
+        set_field(self, "a", a)
+        set_field(self, "b", b)
+        if a <= 0 or b <= 0:
             raise ConsistencyError(f"non-positive Pell solution {self}")
-        if self.a * self.a - 2 * self.b * self.b != self.sign * self.p:
+        if a * a - 2 * b * b != sign * p:
             raise ConsistencyError(f"not a solution: {self}")
-        if self.sign == 1:
-            if self.a * self.a >= 2 * self.p:
+        if sign == 1:
+            if a * a >= 2 * p:
                 raise ConsistencyError(f"a_p >= sqrt(2p) violated: {self}")
-            if self.a < 2 * self.b:
+            if a < 2 * b:
                 raise ConsistencyError(f"a_p >= 2 b_p violated: {self}")
 
 

@@ -30,10 +30,10 @@ order above.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
+from ._record import Record, set_field
 from .errors import ConsistencyError, DomainError
 
 
@@ -79,6 +79,10 @@ class Ring:
     def __repr__(self) -> str:
         return f"Ring({self.name})"
 
+    def __reduce__(self):
+        # rings compare by identity: pickle and copy return the singleton
+        return ring_by_name, (self.name,)
+
 
 def _diagonal_form(d: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     return tuple(((i, d),) for i in range(d))
@@ -122,19 +126,28 @@ def ring_by_name(name: str) -> Ring:
     raise DomainError(f"unknown ring tag {name!r}")
 
 
-@dataclass(frozen=True)
-class RingElement:
+class RingElement(Record):
     """An exact element: integer coefficient vector in the ring's basis."""
 
-    ring: Ring
-    coeffs: tuple[int, ...]
+    __slots__ = ("ring", "coeffs")
 
-    def __post_init__(self):
-        if len(self.coeffs) != self.ring.degree:
+    def __init__(self, ring: Ring, coeffs: tuple[int, ...]):
+        set_field(self, "ring", ring)
+        set_field(self, "coeffs", coeffs)
+        if len(coeffs) != ring.degree:
             raise DomainError(
-                f"{self.ring.name} needs {self.ring.degree} coefficients, "
-                f"got {len(self.coeffs)}"
+                f"{ring.name} needs {ring.degree} coefficients, got {len(coeffs)}"
             )
+
+    # Written out, not Record's, because elements are compared and hashed on
+    # hot paths.  Rings are singletons and compare by identity.
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.ring is other.ring and self.coeffs == other.coeffs
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.ring, self.coeffs))
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)
