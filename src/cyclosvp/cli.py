@@ -118,6 +118,11 @@ def _cmd_bounds(args) -> dict:
     }
 
 
+def _json_field(value):
+    """A record field as JSON: integers as decimal strings, the rest as is."""
+    return str(value) if type(value) is int else value
+
+
 def _cmd_verify(args) -> dict:
     rings = (
         [ring_by_name(args.ring)] if args.ring else list(SVSG_RINGS)
@@ -131,7 +136,7 @@ def _cmd_verify(args) -> dict:
                 "ring": rep.ring,
                 "norm_bound": str(rep.norm_bound),
                 "ideals": str(len(rep.entries)),
-                "mismatches": [{f: getattr(e, f) for f in e.__slots__}
+                "mismatches": [{f: _json_field(getattr(e, f)) for f in e.__slots__}
                                for e in rep.mismatches],
                 "passed": rep.passed,
             }
@@ -152,7 +157,8 @@ def _cmd_verify(args) -> dict:
             failed = failed or not rep.passed
     if failed:
         raise ConsistencyError(
-            json.dumps({"error": "verification_failed", "reports": reports})
+            json.dumps({"error": "verification_failed", "reports": reports,
+                        "zeta16_lift_checks": lift_checks})
         )
     return {"reports": reports, "zeta16_lift_checks": lift_checks, "passed": True}
 

@@ -38,8 +38,12 @@ One function, _certify, certifies every answer, the enumeration fallback
 ideal against the base HNF (the lift is the inclusion, so this covers the
 lifted ideal); Cornacchia's witness for p = 3, 5 (mod 8) is also checked
 to generate it, by equal covolume, so its zeta-multiples are the base
-basis.  The answer is confirmed at rank <= 16 by Schnorr-Euchner enumeration;
-a mismatch with the formula (_formula) raises ConsistencyError.
+basis.  The base witness is Cornacchia's generator for p = 3, 5 (mod 8)
+and the least vector of the zeta8 or theta16 base for p = 7, 9 (mod 16).
+At every level a covered class prints the torsion representative of the
+lifted base witness; at rank <= 16 Schnorr-Euchner enumeration checks
+that the least shortest vector is that representative.  A mismatch there,
+or with the formula (_formula), raises ConsistencyError.
 """
 
 from __future__ import annotations
@@ -535,8 +539,7 @@ def _lift_check(base: Callable[[], IntegerLattice], w: RingElement, sq: int,
     (zeta8, zeta16) and reduced there at rank 4 or 8; from a cyclotomic
     basis the lift keeps the zeta^j multiples orthogonal, so the rank-2^n
     lattice is r reduced blocks whose Gram matrix is read off the block
-    structure.  Enumeration returns the least sign-normalized shortest
-    vector whatever the basis, so the certificate is the same."""
+    structure.  The caller decides what the enumerated vector must be."""
     expected = sq * (target.degree // w.ring.degree)
     w_lift = lift_element(w, target)
     if canonical_sq_length(w_lift) != expected:
@@ -566,29 +569,43 @@ def _certify(rc: ResidueClass, n: int, root_hint: int | None) -> SvpCertificate:
     _require_covered accepted.  A witness w from _base_witness lies in the
     base ideal P and its basis zeta^j * w has P's covolume, so (w) = P and
     that basis, already reduced, is the lift check's base: the paper's
-    generator method.  A base without a witness is LLL-reduced once, for
-    its own enumeration and for the lift check.  ``cross_checked``
-    (printed as ``certified``) means that enumeration at level n agreed
-    and that a formula (rc.supported) is there to compare: a fallback
-    answer is an exact enumeration, but not certified."""
+    generator method.  A base without a witness is LLL-reduced once and
+    enumerated; its least vector is the witness, and the base is the lift
+    check's too.
+
+    A covered class prints one vector at every level: the torsion
+    representative of the lifted witness, the least sign-normalized
+    member of its zeta-orbit.  Enumeration at level n (the lift check, or
+    the base enumeration when the base is already at level n) only checks
+    it: the least shortest vector must be that representative, else a
+    second orbit of shortest vectors exists and ConsistencyError is
+    raised.  ``cross_checked`` (printed as ``certified``) means that this
+    check ran.  The fallback (p = 1, 15 mod 16) enumerates its level-n
+    base, whose ideal can hold several orbits, and prints the least
+    vector found: an exact answer, but not certified, with no formula to
+    compare."""
     base_lat, w = _base_witness(rc.p, rc.label, n, root_hint)
     target = cyclotomic(n)
+    checked = None
     if w is None:
         base = lll_reduce(base_lat)
-        found = svp_enumerate(base)
-        w, sq, method = found.vector, found.sq_length, "enumeration"
+        checked = svp_enumerate(base)
+        w, sq, method = checked.vector, checked.sq_length, "enumeration"
     else:
         base, sq, method = generator_lattice(w), canonical_sq_length(w), "analytic-formula"
     if not contains(base_lat, w):
         raise ConsistencyError(f"witness lies outside the base ideal over p={rc.p}")
     if method == "analytic-formula" and gram_det(base.gram) != gram_det(base_lat.gram):
         raise ConsistencyError(f"witness does not generate the base ideal over p={rc.p}")
-    if method == "enumeration" and base.ring is target:  # 9 (mod 16) at n = 2, the fallback
-        return SvpCertificate(w, sq, method, rc.supported)
-    w_lift, expected, cert = _lift_check(lambda: base, w, sq, target)
-    if cert is None:
-        return SvpCertificate(canonical_torsion_rep(w_lift), expected, method, False)
-    return SvpCertificate(cert.vector, expected, method, rc.supported)
+    if not rc.supported:
+        return SvpCertificate(w, sq, method, False)
+    if checked is None or base.ring is not target:  # else the base is at level n
+        w, sq, checked = _lift_check(lambda: base, w, sq, target)
+    rep = canonical_torsion_rep(w)
+    if checked is not None and checked.vector != rep:
+        raise ConsistencyError(f"the least shortest vector in {target.name} over "
+                               f"p={rc.p} is not the witness's torsion representative")
+    return SvpCertificate(rep, sq, method, checked is not None)
 
 
 def _formula(rc: ResidueClass, n: int, pell: PellSolution | None):

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import NamedTuple
 
 from ._record import Record
 from .errors import DomainError
@@ -244,12 +243,14 @@ class ResidueClass(Record):
                    splitting, label, uses_a_p, level1_note)
 
 
-class Coverage(NamedTuple):
+class Coverage(Record):
     """One row of the class table."""
 
-    min_level: int | None
-    uses_a_p: bool
-    level1_note: str | None = None
+    __slots__ = ("min_level", "uses_a_p", "level1_note")
+
+    def __init__(self, min_level: int | None, uses_a_p: bool,
+                 level1_note: str | None = None):
+        self._fill(min_level, uses_a_p, level1_note)
 
 
 _SPLITTING = {

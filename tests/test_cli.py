@@ -127,7 +127,8 @@ _LEVEL_5_6_SHA256 = {
 }
 
 # the same for n = 1..4, where the answer is certified by enumeration,
-# recorded from the implementation that LLL-reduced the base HNF
+# recorded from the implementation that LLL-reduced the base HNF; the
+# 9 and 7 (mod 16) rows from the one that printed enumeration's vector
 _LEVEL_1_4_SHA256 = {
     (10**199 + 1867, 1): "93bbfc15a9942d7c62c003fe32077c70cea167908a1723b4f12bf629013aa80d",
     (10**199 + 1867, 2): "53bd1d77eec187ea20b87f84586497672f82bd1d94420f7a2ea073f74e32b8d4",
@@ -137,13 +138,21 @@ _LEVEL_1_4_SHA256 = {
     (10**199 + 2229, 2): "060b2f7fc0b6a014119b88d0aca727fa81a8867f139c3922dcc88aa01837c506",
     (10**199 + 2229, 3): "140ba697d382d855cf5905109b52e294b4afb6f645968cb880e0c26397b8538a",
     (10**199 + 2229, 4): "c564fced1c2531d99a002ee4f8daa91ec49c23dccd045bd8c0df3e424eb0c498",
+    (10**199 + 153, 1): "e0d7b7fd4db45cc7b180034ca8f3448eae66115cab8e47f5e558b25d507f7503",
+    (10**199 + 153, 2): "7208ac9c0d51268322d17d28708c6e9cebae997245e387abfad6596b3c4c8f58",
+    (10**199 + 153, 3): "b9febbd1f27763ad1c13ef2acdea9f4117a995ae3f47a7b0e1bf5795f87f7212",
+    (10**199 + 153, 4): "ebbc28024e3704a4a47a5c8a44628285d545ea8373868997f53ded817411d161",
+    (10**199 + 4983, 3): "3a570236be4fa97ca0916d6734b44dbe12295b3904e1ad3b9bee3f68c0aa0dae",
+    (10**199 + 4983, 4): "ec636ac026352055c8fd56e8a2a45420ceaae95dcea847fe1c3bc432153d9bfd",
 }
 
 
-# 200-digit 3 and 5 (mod 8) primes, whose base is the generator basis
-@pytest.mark.parametrize("p", [10**199 + 1867, 10**199 + 2229])
+# 200-digit 3 and 5 (mod 8) primes, whose base is the generator basis, and
+# 9, 7 (mod 16) primes, whose base witness is the least vector of the base
+@pytest.mark.parametrize("p", [10**199 + 1867, 10**199 + 2229, 10**199 + 153,
+                               10**199 + 4983])
 def test_lambda1_at_levels_1_to_4_is_pinned(p):
-    for n in range(1, 5):
+    for n in (m for q, m in _LEVEL_1_4_SHA256 if q == p):
         code, text = run_cli("lambda1", "--p", str(p), "--n", str(n))
         assert code == 0 and json.loads(text)["certified"] is True
         assert hashlib.sha256(text.encode()).hexdigest() == _LEVEL_1_4_SHA256[p, n]

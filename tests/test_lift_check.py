@@ -1,6 +1,8 @@
 """The lift check enumerates each lifted ideal on the basis lifted from
 the LLL-reduced base, zeta^j * b_i, and never LLL-reduces a rank-8 or
-rank-16 HNF whose diagonal carries p."""
+rank-16 HNF whose diagonal carries p.  For a covered class that
+enumeration only checks the printed vector, the torsion representative
+of the lifted base witness."""
 
 import pytest
 
@@ -9,6 +11,7 @@ from cyclosvp.errors import ConsistencyError
 from cyclosvp.idealsvp import lambda1_squared, lift_shortest, shortest_generator
 from cyclosvp.lattice import (
     SvpCertificate,
+    canonical_coeffs,
     generator_lattice,
     hnf_rows,
     lift_ideal_lattice,
@@ -29,6 +32,7 @@ from cyclosvp.rings import (
     cyclotomic,
     element,
     mul,
+    zeta_shift,
 )
 
 
@@ -239,6 +243,46 @@ def test_lift_check_refuses_a_vector_of_another_length(monkeypatch, p, n):
 
     monkeypatch.setattr(idealsvp, "svp_enumerate", misreport)
     with pytest.raises(ConsistencyError, match="squared length"):
+        lambda1_squared(p, n)
+
+
+# svp_enumerate's ranks per level n = 1..6 (None: the level is refused);
+# a theta16 or zeta8 base is enumerated at rank 4 before its lift
+ENUMERATED_RANKS = {
+    13: [[2], [4], [8], [16], [], []],
+    11: [[2], [4], [8], [16], [], []],
+    89: [[2], [4], [4, 8], [4, 16], [4], [4]],
+    71: [None, None, [4, 8], [4, 16], [4], [4]],
+}
+
+
+@pytest.mark.parametrize("p", sorted(ENUMERATED_RANKS))
+def test_each_level_enumerates_at_these_ranks(monkeypatch, p):
+    enumerated = _record(monkeypatch, "svp_enumerate", idealsvp)
+    for n, ranks in enumerate(ENUMERATED_RANKS[p], start=1):
+        if ranks is None:
+            continue
+        enumerated.clear()
+        lambda1_squared(p, n)
+        assert [lat.rank for lat in enumerated] == ranks, n
+
+
+@pytest.mark.parametrize("p, n", [(13, 3), (11, 3), (71, 3), (89, 2), (89, 3)])
+def test_enumeration_only_checks_the_printed_vector(monkeypatch, p, n):
+    # an enumeration that returns another shortest vector of the same
+    # zeta-orbit, zeta times its least one, is refused: a covered class
+    # prints the torsion representative of its lifted base witness
+    real = idealsvp.svp_enumerate
+
+    def rotate(lat, radius_sq=None):
+        cert = real(lat, radius_sq)
+        if lat.ring is not cyclotomic(n):
+            return cert
+        turned = element(lat.ring, canonical_coeffs(zeta_shift(cert.vector, 1).coeffs))
+        return SvpCertificate(turned, cert.sq_length, cert.method, cert.cross_checked)
+
+    monkeypatch.setattr(idealsvp, "svp_enumerate", rotate)
+    with pytest.raises(ConsistencyError, match="torsion representative"):
         lambda1_squared(p, n)
 
 

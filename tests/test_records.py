@@ -1,14 +1,16 @@
 """The frozen result records: construction, repr, equality, hash,
 immutability, pickling, and an import that stays light.
 
-The reprs and the verify line below were recorded from the frozen
-dataclasses these records replace; the records must reproduce them byte
-for byte, since reprs reach error text.
+The reprs below were recorded from the frozen dataclasses these records
+replace; the records must reproduce them byte for byte, since reprs reach
+error text.  The verify line is the dataclasses' line with each mismatch's
+numbers printed as decimal strings, as every other numeric JSON value is.
 """
 
 import copy
 import inspect
 import io
+import json
 import os
 import pickle
 import subprocess
@@ -18,9 +20,16 @@ import pytest
 
 from cyclosvp import cli
 from cyclosvp.errors import ConsistencyError, DomainError
-from cyclosvp.idealsvp import SvsgEntry, SvsgReport, bounds, lambda1_squared, zeta16_lift_check
+from cyclosvp.idealsvp import (
+    LiftCheckReport,
+    SvsgEntry,
+    SvsgReport,
+    bounds,
+    lambda1_squared,
+    zeta16_lift_check,
+)
 from cyclosvp.lattice import IntegerLattice, SvpCertificate, lll_reduce, prime_ideal_lattice
-from cyclosvp.ntheory import classify_prime
+from cyclosvp.ntheory import COVERAGE, classify_prime
 from cyclosvp.pell import PellSolution
 from cyclosvp.rings import CYCLO_EIGHTH, GAUSSIAN_INT, RingElement
 
@@ -42,7 +51,13 @@ ENTRY_REPR = ("SvsgEntry(p=13, norm=13, ideal='(13, th - 5)', lambda1_sq=26, "
               "generator_sq=28, match=False, detail='x')")
 
 # record, its constructor's fields in order, the defaults, the dataclass repr
+# (for Coverage, the repr of the NamedTuple it replaces)
 CASES = {
+    "Coverage": (
+        lambda: COVERAGE["9mod16"],
+        ("min_level", "uses_a_p", "level1_note"), {"level1_note": None},
+        "Coverage(min_level=2, uses_a_p=True, "
+        "level1_note='level 1 falls back to the split Z[i] case')"),
     "RingElement": (
         lambda: RingElement(GAUSSIAN_INT, (5, 2)),
         ("ring", "coeffs"), {}, "zi[5, 2]"),
@@ -195,17 +210,51 @@ def test_verify_prints_a_mismatch_as_its_fields(monkeypatch):
         '{"error": "internal_consistency", "detail": "{\\"error\\": '
         '\\"verification_failed\\", \\"reports\\": [{\\"ring\\": \\"zi\\", '
         '\\"norm_bound\\": \\"20\\", \\"ideals\\": \\"1\\", \\"mismatches\\": '
-        '[{\\"p\\": 13, \\"norm\\": 13, \\"ideal\\": \\"(13, th - 5)\\", '
-        '\\"lambda1_sq\\": 26, \\"generator_sq\\": 28, \\"match\\": false, '
-        '\\"detail\\": \\"x\\"}], \\"passed\\": false}]}"}\n'
+        '[{\\"p\\": \\"13\\", \\"norm\\": \\"13\\", \\"ideal\\": \\"(13, th - 5)\\", '
+        '\\"lambda1_sq\\": \\"26\\", \\"generator_sq\\": \\"28\\", \\"match\\": false, '
+        '\\"detail\\": \\"x\\"}], \\"passed\\": false}], \\"zeta16_lift_checks\\": []}"}\n'
     )
+
+
+def _failure_detail(out):
+    return json.loads(json.loads(out.getvalue())["detail"])
+
+
+def test_verify_prints_missing_lengths_as_null(monkeypatch):
+    entry = SvsgEntry(13, 13, "(13, th - 5)", None, None, False, "no generator")
+    monkeypatch.setattr(cli, "svsg_verify",
+                        lambda ring, bound: SvsgReport(ring.name, bound, (entry,)))
+    out = io.StringIO()
+    assert cli.run(["verify", "--ring", "zi", "--norm-bound", "20"], out=out) == 1
+    assert _failure_detail(out)["reports"][0]["mismatches"] == [
+        {"p": "13", "norm": "13", "ideal": "(13, th - 5)", "lambda1_sq": None,
+         "generator_sq": None, "match": False, "detail": "no generator"}]
+
+
+def test_verify_failure_names_the_failed_zeta16_lift_check(monkeypatch):
+    real = cli.zeta16_lift_check
+
+    def fail_23(p):
+        rep = real(p)
+        if p != 23:
+            return rep
+        return LiftCheckReport(p, rep.subfield_sq, rep.extension_sq, rep.four_a_p,
+                               False, rep.witness_attains)
+
+    monkeypatch.setattr(cli, "zeta16_lift_check", fail_23)
+    out = io.StringIO()
+    assert cli.run(["verify", "--ring", "theta16", "--norm-bound", "30"], out=out) == 1
+    detail = _failure_detail(out)
+    assert [r["passed"] for r in detail["reports"]] == [True]
+    assert [(c["p"], c["passed"]) for c in detail["zeta16_lift_checks"]] == [
+        ("7", True), ("23", False)]
 
 
 def test_import_loads_neither_dataclasses_nor_inspect():
     src = os.path.dirname(os.path.dirname(cli.__file__))
     code = (
         f"import sys; sys.path.insert(0, {src!r}); import cyclosvp, cyclosvp.cli; "
-        "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))"
+        "print(sorted(m for m in ('dataclasses', 'inspect', 'typing') if m in sys.modules))"
     )
     # -S: modules that the host's site and .pth files load are not the package's.
     done = subprocess.run([sys.executable, "-I", "-S", "-c", code],
